@@ -24,9 +24,11 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/fallback.hpp"
 #include "fault/injector.hpp"
 #include "net/frame.hpp"
@@ -134,6 +136,7 @@ struct Server::Impl {
   obs::Gauge* conn_buffer_bytes;
   obs::Counter* short_writes;
   obs::Counter* overlong_disconnects;
+  obs::Histogram* exec_chains;  ///< tenant chains per executed frame batch
   obs::SloTracker* shed_slo;
   std::map<std::string, obs::Counter*> shed;
 
@@ -155,6 +158,8 @@ struct Server::Impl {
     conn_buffer_bytes = &reg.gauge("ld_net_conn_buffer_bytes");
     short_writes = &reg.counter("ld_net_short_writes_total");
     overlong_disconnects = &reg.counter("ld_net_overlong_disconnects_total");
+    // How much parallelism the traffic offers: 1 means the batch ran serially.
+    exec_chains = &reg.histogram("ld_net_exec_chains", {}, 1.0, 1e5);
     // Shed-rate SLO: every admission decision is a good/bad event, so the
     // burn rate tracks "fraction of requests shed" over the dual windows.
     shed_slo = &obs::slo_tracker("shed_rate", {0.01, 60, 3600});
@@ -513,11 +518,17 @@ struct Server::Impl {
     return false;
   }
 
-  /// Run every queued request in arrival order. QUIT (and peer EOF) close
-  /// after the response flushes; a connection that vanished mid-queue just
-  /// drops its remaining requests.
+  /// Run every queued request. Text lines and HTTP requests execute one at a
+  /// time on the loop thread and act as barriers; each run of binary frames
+  /// between them executes across the pool (execute_frames). QUIT (and peer
+  /// EOF) close after the response flushes; a connection that vanished
+  /// mid-queue just drops its remaining requests.
   void execute_pending() {
     while (!pending.empty()) {
+      if (pending.front().binary) {
+        execute_frames();
+        continue;
+      }
       Request req = std::move(pending.front());
       pending.pop_front();
       const auto it = conns.find(req.fd);
@@ -532,16 +543,130 @@ struct Server::Impl {
       // RequestScope::current() and add their own flow steps.
       const bool sampled = req.id != 0 && obs::Tracer::sampled(req.id);
       const obs::RequestScope scope(sampled ? req.id : 0);
-      if (req.binary) {
-        execute_frame(req, conn);
-      } else {
-        std::ostringstream oss;
-        if (!protocol.handle(req.payload, oss)) conn.close_after_flush = true;
-        conn.outbuf.append(oss.str());
-      }
+      std::ostringstream oss;
+      if (!protocol.handle(req.payload, oss)) conn.close_after_flush = true;
+      conn.outbuf.append(oss.str());
       if (sampled) obs::Tracer::instance().record_flow("req.done", 'f', req.id);
     }
     pending_requests->set(0.0);
+  }
+
+  /// One binary request of an executing batch: parsed once on the loop
+  /// thread, executed on whichever thread runs its tenant's chain, answered
+  /// into its own reply slot.
+  struct FrameJob {
+    Connection* conn = nullptr;
+    std::uint64_t id = 0;
+    Op op = Op::kError;
+    std::string workload;
+    std::uint32_t horizon = 0;   ///< kPredictReq
+    std::vector<double> values;  ///< kObserveReq
+    std::string reply;           ///< the encoded reply frame
+  };
+
+  /// Execute the maximal run of binary frames at the head of the queue. The
+  /// requests are grouped by workload into chains that keep arrival order, so
+  /// OBSERVE-then-PREDICT on one tenant behaves exactly as serially; distinct
+  /// tenants run concurrently on the pool, with the loop thread taking chunks
+  /// too (a pool full of retrains degrades to serial speed, never blocks).
+  /// The reply slots are appended in arrival order afterwards, so every
+  /// connection still reads its replies in request order. A single chain
+  /// (one-thread pool, short run) is exactly the serial order.
+  void execute_frames() {
+    std::size_t run = 0;
+    while (run < pending.size() && pending[run].binary) ++run;
+    ThreadPool& pool = ThreadPool::global();
+    // Too few requests to give every pool thread one: waking a worker costs
+    // about as much as a short request, and the loop would then wait on a
+    // worker that may sit behind retrains for a scheduler slice. Such a
+    // batch runs as one chain, in arrival order, on the loop thread.
+    const bool parallel = pool.concurrency() > 1 && run >= pool.concurrency();
+    std::vector<FrameJob> jobs;
+    jobs.reserve(run);  // no reallocation: chain keys view jobs[].workload
+    std::vector<std::vector<std::size_t>> chains;
+    std::unordered_map<std::string_view, std::size_t> chain_of;
+    for (; run > 0; --run) {
+      Request req = std::move(pending.front());
+      pending.pop_front();
+      const auto it = conns.find(req.fd);
+      if (it == conns.end()) continue;
+      FrameJob& job = jobs.emplace_back();
+      job.conn = &it->second;
+      job.id = req.id;
+      if (!parse_frame(req, job)) {
+        finish_flow(job.id);
+        continue;
+      }
+      const std::string_view key = parallel ? std::string_view(job.workload) : "";
+      const auto [chain, fresh] = chain_of.try_emplace(key, chains.size());
+      if (fresh) chains.emplace_back();
+      chains[chain->second].push_back(jobs.size() - 1);
+    }
+    if (!chains.empty()) exec_chains->observe(static_cast<double>(chains.size()));
+    pool.parallel_for(0, chains.size(), [&](std::size_t c) {
+      for (const std::size_t j : chains[c]) run_frame(jobs[j]);
+    });
+    for (const FrameJob& job : jobs) job.conn->outbuf.append(job.reply);
+  }
+
+  /// Decode the request payload into `job`. False when the request is
+  /// already answered: a malformed payload or an unexpected opcode gets its
+  /// ERROR frame in its own slot.
+  static bool parse_frame(const Request& req, FrameJob& job) {
+    try {
+      switch (req.op) {
+        case Op::kPredictReq: {
+          PredictRequestPayload p = parse_predict_request(req.payload);
+          job.workload = std::move(p.workload);
+          job.horizon = p.horizon;
+          break;
+        }
+        case Op::kObserveReq: {
+          ObserveRequestPayload p = parse_observe_request(req.payload);
+          job.workload = std::move(p.workload);
+          job.values = std::move(p.values);
+          break;
+        }
+        default:
+          append_error(job.reply, std::string("unexpected opcode ") + to_string(req.op));
+          return false;
+      }
+    } catch (const std::exception& e) {
+      append_error(job.reply, e.what());
+      return false;
+    }
+    job.op = req.op;
+    return true;
+  }
+
+  /// Execute one parsed request into its reply slot. Runs on a pool worker
+  /// or the loop thread, so it touches only the (thread-safe) service and
+  /// the job itself. The request id is re-installed on the executing thread,
+  /// so the shard/predict/retrain flow steps stay on their request.
+  void run_frame(FrameJob& job) {
+    const bool sampled = job.id != 0 && obs::Tracer::sampled(job.id);
+    const obs::RequestScope scope(sampled ? job.id : 0);
+    try {
+      if (job.op == Op::kPredictReq) {
+        const serving::PredictResult result =
+            service.predict_detailed(job.workload, job.horizon);
+        append_predict_ok(job.reply, static_cast<std::uint8_t>(result.level),
+                          result.forecast);
+      } else {
+        service.observe_many(job.workload, job.values);
+        append_observe_ok(job.reply, static_cast<std::uint32_t>(job.values.size()));
+      }
+    } catch (const std::exception& e) {
+      job.reply.clear();
+      append_error(job.reply, e.what());
+    }
+    finish_flow(job.id);
+  }
+
+  /// Close a binary request's trace flow on the thread that answered it.
+  static void finish_flow(std::uint64_t id) {
+    if (id != 0 && obs::Tracer::sampled(id))
+      obs::Tracer::instance().record_flow("req.done", 'f', id);
   }
 
   /// Ops-plane endpoints, served straight off the event loop. Responses are
@@ -617,33 +742,6 @@ struct Server::Impl {
         << "}},\"series\":{\"exposed\":" << reg.exposed_series_count()
         << ",\"max\":" << reg.max_series() << "}}";
     return out.str();
-  }
-
-  void execute_frame(const Request& req, Connection& conn) {
-    try {
-      switch (req.op) {
-        case Op::kPredictReq: {
-          const PredictRequestPayload p = parse_predict_request(req.payload);
-          const serving::PredictResult result =
-              service.predict_detailed(p.workload, p.horizon);
-          append_predict_ok(conn.outbuf, static_cast<std::uint8_t>(result.level),
-                            result.forecast);
-          break;
-        }
-        case Op::kObserveReq: {
-          const ObserveRequestPayload p = parse_observe_request(req.payload);
-          service.observe_many(p.workload, p.values);
-          append_observe_ok(conn.outbuf, static_cast<std::uint32_t>(p.values.size()));
-          break;
-        }
-        default:
-          append_error(conn.outbuf,
-                       std::string("unexpected opcode ") + to_string(req.op));
-          break;
-      }
-    } catch (const std::exception& e) {
-      append_error(conn.outbuf, e.what());
-    }
   }
 
   void run() {

@@ -1,8 +1,8 @@
 // TCP front-end for the prediction service: a single-threaded poll/epoll
-// event loop speaking the existing line protocol unchanged, plus the binary
-// framing of net/frame.hpp, multiplexed on the same connection (the first
-// byte of each inbound unit discriminates: 0xB7 = frame, anything else =
-// text line).
+// event loop (binary frames execute on the pool, step 4 below) speaking the
+// existing line protocol unchanged, plus the binary framing of
+// net/frame.hpp, multiplexed on the same connection (the first byte of each
+// inbound unit discriminates: 0xB7 = frame, anything else = text line).
 //
 // Event-loop shape (DESIGN.md §13):
 //  1. wait for readiness (epoll on Linux, poll elsewhere; a self-pipe wakes
@@ -17,8 +17,17 @@
 //     observations degrades future accuracy a little; dropping predictions
 //     breaks the caller's control loop now — so observations go first.
 //     Sheds are counted in ld_shed_total{verb=}.
-//  4. execute the queue in arrival order against the PredictionService
-//     (predictions run on the loop thread; BATCH fans out on the pool),
+//  4. execute the queue against the PredictionService. Text lines and HTTP
+//     requests run one at a time on the loop thread (BATCH fans out on the
+//     pool) and act as barriers. Each run of binary BPREDICT/BOBSERVE frames
+//     between them is parsed once, grouped by workload into chains that keep
+//     arrival order, and the chains run concurrently on the global
+//     ThreadPool with the loop thread taking chunks too. Every request
+//     encodes its reply into its own slot; the slots are appended in arrival
+//     order, so each connection reads its replies in request order. A run
+//     with fewer frames than the pool has threads — and every run when
+//     LD_NUM_THREADS=1 — is one chain on the loop thread: exactly the serial
+//     order. ld_net_exec_chains records the chains per executed batch.
 //  5. flush output buffers; EPOLLOUT interest only while a buffer is
 //     nonempty.
 //

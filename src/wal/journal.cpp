@@ -234,13 +234,21 @@ std::uint64_t Journal::rotate() {
 
 ReplayStats Journal::replay(std::uint64_t from_seq,
                             const std::function<void(const Record&)>& handler) {
-  std::scoped_lock lock(mu_);
+  // The segment list and each segment's bytes are read under mu_, but the
+  // handler runs with it released: handlers take tenant locks, and appends
+  // take those before mu_, so holding mu_ here would invert the lock order.
+  std::vector<std::pair<std::uint64_t, std::string>> segments;
+  {
+    std::scoped_lock lock(mu_);
+    segments = segments_locked();
+  }
   ReplayStats stats;
-  for (const auto& [seq, path] : segments_locked()) {
+  for (const auto& [seq, path] : segments) {
     if (seq < from_seq) continue;
     ++stats.segments;
     std::string data;
     {
+      std::scoped_lock lock(mu_);
       std::ifstream in(path, std::ios::binary);
       if (!in) {
         log::warn("wal: cannot read segment '", path, "', skipping");
@@ -259,8 +267,11 @@ ReplayStats Journal::replay(std::uint64_t from_seq,
       // and cannot be applied over the hole.
       ++stats.quarantined_segments;
       counters().quarantined_segments->inc();
-      std::error_code ec;
-      fs::rename(path, path + ".quarantine", ec);
+      {
+        std::scoped_lock lock(mu_);
+        std::error_code ec;
+        fs::rename(path, path + ".quarantine", ec);
+      }
       log::warn("wal: quarantined corrupt segment '", path, "' (", r.error,
                 ") after ", r.records, " records");
       break;

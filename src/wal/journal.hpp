@@ -86,7 +86,9 @@ class Journal {
 
   /// Replay records from every segment with seq >= from_seq, in sequence
   /// order, invoking `handler` per record. Truncates at torn tails,
-  /// quarantines corrupt segments (and stops — see file header).
+  /// quarantines corrupt segments (and stops — see file header). The handler
+  /// runs without the journal mutex held, so it may take tenant locks that
+  /// appends take before the journal's own.
   ReplayStats replay(std::uint64_t from_seq,
                      const std::function<void(const Record&)>& handler);
 

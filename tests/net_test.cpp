@@ -1,11 +1,14 @@
 // Network serving layer: binary frame codec (round-trip, truncation,
 // hostile lengths), the TCP event-loop server end to end over a real socket
 // (text + binary on one connection, admission-control shedding, QUIT,
-// fault-site behavior), and shard determinism — the same workload set served
-// with 1, 4, and 16 shards must produce bit-identical forecasts and
-// identical retrain decisions. The TSan CI job runs this suite ("Net" is in
-// its filter): the server thread, the client thread, and the service's
-// dispatcher/drain tasks genuinely overlap here.
+// fault-site behavior), pipelined frames executing across the pool in
+// per-tenant chains (replies byte-identical to a one-thread pool, text lines
+// as barriers, per-slot errors, trace flows), and shard determinism — the
+// same workload set served with 1, 4, and 16 shards must produce
+// bit-identical forecasts and identical retrain decisions. The TSan CI job
+// runs this suite ("Net" is in its filter): the server thread, its pool
+// workers, the client thread, and the service's dispatcher/drain tasks
+// genuinely overlap here.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,18 +22,23 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "fault/injector.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "serving/protocol.hpp"
 #include "serving/registry.hpp"
 #include "serving/service.hpp"
@@ -344,17 +352,44 @@ class RawConn {
   }
 
   /// Block until the server closes (recv returns 0) or `seconds` elapse.
-  bool wait_closed(double seconds) {
-    timeval tv{};
-    tv.tv_sec = static_cast<long>(seconds);
-    tv.tv_usec = static_cast<long>((seconds - tv.tv_sec) * 1e6);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  /// Reply bytes arriving before the close are counted in `reply_bytes`.
+  bool wait_closed(double seconds, std::size_t* reply_bytes = nullptr) {
+    set_timeout(seconds);
     char buf[4096];
     for (;;) {
       const ::ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n == 0) return true;
       if (n < 0) return false;  // timeout
+      if (reply_bytes != nullptr) *reply_bytes += static_cast<std::size_t>(n);
     }
+  }
+
+  /// Read `count` reply units — binary frames (raw bytes, header included)
+  /// or text lines (without '\n') — in arrival order. Returns fewer on EOF,
+  /// a framing error, or when `seconds` pass without a byte.
+  std::vector<std::string> read_replies(std::size_t count, double seconds = 30.0) {
+    set_timeout(seconds);
+    std::vector<std::string> replies;
+    while (replies.size() < count) {
+      if (!buf_.empty() && static_cast<std::uint8_t>(buf_.front()) == net::kFrameMagic) {
+        const net::Decoded decoded = net::decode_frame(buf_);
+        if (decoded.status == net::DecodeStatus::kBad) break;
+        if (decoded.status == net::DecodeStatus::kFrame) {
+          replies.push_back(buf_.substr(0, decoded.consumed));
+          buf_.erase(0, decoded.consumed);
+          continue;
+        }
+      } else if (const std::size_t nl = buf_.find('\n'); nl != std::string::npos) {
+        replies.push_back(buf_.substr(0, nl));
+        buf_.erase(0, nl + 1);
+        continue;
+      }
+      char chunk[64 * 1024];
+      const ::ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+    return replies;
   }
 
   void close() {
@@ -363,7 +398,15 @@ class RawConn {
   }
 
  private:
+  void set_timeout(double seconds) {
+    timeval tv{};
+    tv.tv_sec = static_cast<long>(seconds);
+    tv.tv_usec = static_cast<long>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
   int fd_ = -1;
+  std::string buf_;  ///< received bytes not yet split into replies
 };
 
 TEST_F(NetServerTest, OverlongHttpRequestLineDisconnects) {
@@ -601,6 +644,295 @@ TEST_F(NetServerTest, ConcurrentHttpScrapeDuringRetrain) {
   scraper.join();
   statusz.join();
   obs::MetricsRegistry::global().set_max_series(0);  // don't govern later tests
+}
+
+// ---------------------------------------------------------------------------
+// NetParallelExec: runs of pipelined binary frames execute across the pool,
+// one arrival-ordered chain per tenant, with replies in request order.
+
+/// Two trained models shared round-robin by the tenants (training one per
+/// tenant would dominate the suite's run time).
+const std::vector<std::shared_ptr<core::TrainedModel>>& fleet_models() {
+  static const std::vector<std::shared_ptr<core::TrainedModel>> models = [] {
+    const std::vector<double> series = testutil::seasonal_series(96);
+    return std::vector<std::shared_ptr<core::TrainedModel>>{quick_model(series, 7),
+                                                            quick_model(series, 8)};
+  }();
+  return models;
+}
+
+std::string tenant(std::size_t i) { return "tenant-" + std::to_string(i); }
+
+/// A server over a fresh fleet of `tenants`, each with its own 64-value
+/// slice of one series, on a global pool of `pool_threads`. Admission
+/// control is out of the way: these tests pipeline hundreds of frames on
+/// purpose. The default pool comes back on destruction.
+class PipelinedServer {
+ public:
+  PipelinedServer(std::size_t pool_threads, std::size_t tenants) {
+    ThreadPool::set_global_size(pool_threads);
+    service_ = std::make_unique<serving::PredictionService>(quick_service());
+    const std::vector<double> series = testutil::seasonal_series(96);
+    for (std::size_t i = 0; i < tenants; ++i) {
+      service_->publish(tenant(i), *fleet_models()[i % 2]);
+      service_->observe_many(tenant(i), std::span<const double>(series).subspan(i % 32, 64));
+    }
+    net::ServerConfig config;
+    config.shed_observe_depth = 1u << 20;
+    config.shed_predict_depth = 1u << 20;
+    server_ = std::make_unique<net::Server>(*service_, config);
+    thread_ = std::thread([this] { server_->run(); });
+  }
+  ~PipelinedServer() {
+    server_->stop();
+    thread_.join();
+    server_.reset();
+    service_.reset();
+    ThreadPool::set_global_size(ThreadPool::default_threads());
+  }
+  PipelinedServer(const PipelinedServer&) = delete;
+  PipelinedServer& operator=(const PipelinedServer&) = delete;
+
+  [[nodiscard]] serving::PredictionService& service() { return *service_; }
+  [[nodiscard]] std::uint16_t port() const { return server_->port(); }
+
+  /// Send each script on its own connection, back to back so the server sees
+  /// them in as few batches as possible; then read `counts[i]` replies from
+  /// connection i.
+  std::vector<std::vector<std::string>> exchange(const std::vector<std::string>& scripts,
+                                                 const std::vector<std::size_t>& counts) {
+    std::vector<std::unique_ptr<RawConn>> conns;
+    for (std::size_t i = 0; i < scripts.size(); ++i)
+      conns.push_back(std::make_unique<RawConn>("127.0.0.1", port()));
+    for (std::size_t i = 0; i < scripts.size(); ++i) conns[i]->send_bytes(scripts[i]);
+    std::vector<std::vector<std::string>> replies;
+    for (std::size_t i = 0; i < scripts.size(); ++i)
+      replies.push_back(conns[i]->read_replies(counts[i]));
+    return replies;
+  }
+
+ private:
+  std::unique_ptr<serving::PredictionService> service_;
+  std::unique_ptr<net::Server> server_;
+  std::thread thread_;
+};
+
+net::Op reply_op(const std::string& reply) { return net::decode_frame(reply).op; }
+
+/// The PREDICT_OK frame the server must send for `result`.
+std::string predict_ok_frame(const serving::PredictResult& result) {
+  std::string frame;
+  net::append_predict_ok(frame, static_cast<std::uint8_t>(result.level), result.forecast);
+  return frame;
+}
+
+TEST(NetParallelExec, PipelinedRepliesMatchOneThreadServerByteForByte) {
+  // Two connections each pipeline 256 frames over their own 32 of the 64
+  // tenants (pinned, so a connection's replies cannot depend on how the two
+  // byte streams interleave at the server): OBSERVE then PREDICT on the same
+  // tenant back to back, every tenant revisited within the batch.
+  constexpr std::size_t kTenants = 64;
+  constexpr std::size_t kPairs = 128;
+  std::vector<std::string> scripts(2);
+  for (std::size_t c = 0; c < 2; ++c)
+    for (std::size_t k = 0; k < kPairs; ++k) {
+      const std::string name = tenant(2 * ((k * 7) % (kTenants / 2)) + c);
+      const double value = 100.0 + 1.5 * static_cast<double>(k) + static_cast<double>(c);
+      net::append_observe_request(scripts[c], name, std::span<const double>(&value, 1));
+      net::append_predict_request(scripts[c], name, static_cast<std::uint32_t>(1 + k % 4));
+    }
+  const std::vector<std::size_t> counts(2, 2 * kPairs);
+
+  std::vector<std::vector<std::string>> serial;
+  {
+    PipelinedServer server(/*pool_threads=*/1, kTenants);
+    serial = server.exchange(scripts, counts);
+  }
+  std::vector<std::vector<std::string>> parallel;
+  {
+    testutil::reset_metrics();
+    PipelinedServer server(/*pool_threads=*/4, kTenants);
+    parallel = server.exchange(scripts, counts);
+    EXPECT_GT(obs::MetricsRegistry::global()
+                  .histogram("ld_net_exec_chains", {}, 1.0, 1e5)
+                  .snapshot()
+                  .max(),
+              1.0)
+        << "no batch ever ran as more than one tenant chain";
+  }
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(serial[c].size(), counts[c]);
+    ASSERT_EQ(parallel[c].size(), counts[c]);
+    for (std::size_t k = 0; k < counts[c]; ++k) {
+      EXPECT_EQ(reply_op(serial[c][k]),
+                k % 2 == 0 ? net::Op::kObserveOk : net::Op::kPredictOk)
+          << "connection " << c << " reply " << k;
+      EXPECT_EQ(parallel[c][k], serial[c][k]) << "connection " << c << " reply " << k;
+    }
+  }
+}
+
+TEST(NetParallelExec, TextLineIsABarrierBetweenFrameRuns) {
+  constexpr std::size_t kTenants = 8;
+  PipelinedServer server(/*pool_threads=*/4, kTenants);
+  std::string script;
+  for (std::size_t i = 0; i < kTenants; ++i) {
+    const std::vector<double> values = {1.0 + static_cast<double>(i), 2.0, 3.0};
+    net::append_observe_request(script, tenant(i), values);
+    net::append_predict_request(script, tenant(i), 2);
+  }
+  for (std::size_t i = 0; i < kTenants; ++i) script += "STATS " + tenant(i) + "\n";
+  for (std::size_t i = 0; i < kTenants; ++i) net::append_predict_request(script, tenant(i), 1);
+
+  const std::vector<std::string> replies = server.exchange({script}, {4 * kTenants})[0];
+  ASSERT_EQ(replies.size(), 4 * kTenants);
+  for (std::size_t i = 0; i < kTenants; ++i) {
+    // Every frame before the line has executed: 64 loaded + 3 observed
+    // values, and the one prediction.
+    const std::string& line = replies[2 * kTenants + i];
+    EXPECT_EQ(line.rfind("STATS " + tenant(i) + " version=1 observed=67 predictions=1 ", 0),
+              0u)
+        << line;
+    EXPECT_EQ(reply_op(replies[3 * kTenants + i]), net::Op::kPredictOk);
+    EXPECT_EQ(server.service().stats(tenant(i)).predictions, 2u);
+  }
+}
+
+TEST(NetParallelExec, MalformedFrameErrorsInItsOwnSlot) {
+  PipelinedServer server(/*pool_threads=*/4, 3);
+  serving::PredictionService& service = server.service();
+  const std::string t0_frame = predict_ok_frame(service.predict_detailed(tenant(0), 2));
+  const std::string t1_before = predict_ok_frame(service.predict_detailed(tenant(1), 3));
+  const std::string t2_frame = predict_ok_frame(service.predict_detailed(tenant(2), 1));
+  // A well-framed BPREDICT whose name length overruns its payload.
+  std::string malformed;
+  net::append_predict_request(malformed, tenant(0), 2);
+  malformed[net::kFrameHeaderSize] = '\xff';
+  malformed[net::kFrameHeaderSize + 1] = '\xff';
+
+  std::string script;
+  net::append_predict_request(script, tenant(0), 2);
+  net::append_predict_request(script, tenant(1), 3);
+  script += malformed;
+  net::append_observe_request(script, tenant(1), std::vector<double>{5.0});
+  net::append_predict_request(script, tenant(1), 3);
+  net::append_predict_request(script, tenant(0), 2);
+  script += malformed;
+  net::append_predict_request(script, tenant(2), 1);
+
+  const std::vector<std::string> replies = server.exchange({script}, {8})[0];
+  ASSERT_EQ(replies.size(), 8u);
+  EXPECT_EQ(replies[0], t0_frame);
+  EXPECT_EQ(replies[1], t1_before);
+  EXPECT_EQ(reply_op(replies[2]), net::Op::kError);
+  std::string observe_ok;
+  net::append_observe_ok(observe_ok, 1);
+  EXPECT_EQ(replies[3], observe_ok);
+  EXPECT_EQ(replies[4], predict_ok_frame(service.predict_detailed(tenant(1), 3)))
+      << "the PREDICT after the OBSERVE must see the observed value";
+  EXPECT_EQ(replies[5], t0_frame);
+  EXPECT_EQ(reply_op(replies[6]), net::Op::kError);
+  EXPECT_EQ(replies[7], t2_frame);
+}
+
+TEST(NetParallelExec, ConnectionClosedMidBatchLosesOnlyItsOwnReplies) {
+  PipelinedServer server(/*pool_threads=*/4, 8);
+  serving::PredictionService& service = server.service();
+  std::vector<std::string> expected;
+  std::string healthy;
+  for (std::size_t i = 4; i < 8; ++i) {
+    expected.push_back(predict_ok_frame(service.predict_detailed(tenant(i), 2)));
+    net::append_predict_request(healthy, tenant(i), 2);
+  }
+  // Valid frames, then a length prefix past the cap: the stream cannot be
+  // resynchronized, so the server closes the connection right after queuing
+  // the valid frames ahead of it.
+  std::string doomed;
+  for (std::size_t i = 0; i < 4; ++i) {
+    net::append_observe_request(doomed, tenant(i), std::vector<double>{1.0});
+    net::append_predict_request(doomed, tenant(i), 2);
+  }
+  doomed.push_back(static_cast<char>(net::kFrameMagic));
+  doomed.push_back(static_cast<char>(net::Op::kPredictReq));
+  for (const char c : {'\xff', '\xff', '\xff', '\x7f'}) doomed.push_back(c);
+
+  const testutil::CounterDelta protocol_errors("ld_net_protocol_errors_total");
+  RawConn doomed_conn("127.0.0.1", server.port());
+  RawConn healthy_conn("127.0.0.1", server.port());
+  doomed_conn.send_bytes(doomed);
+  healthy_conn.send_bytes(healthy);
+  std::size_t doomed_reply_bytes = 0;
+  EXPECT_TRUE(doomed_conn.wait_closed(10.0, &doomed_reply_bytes));
+  EXPECT_EQ(doomed_reply_bytes, 0u) << "a closed connection's queued requests are dropped";
+  EXPECT_EQ(healthy_conn.read_replies(expected.size()), expected);
+  EXPECT_EQ(protocol_errors.delta(), 1u);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(service.stats(tenant(i)).observations, 64u) << tenant(i);
+}
+
+TEST(NetParallelExec, TraceFlowsStayOnTheirRequestAcrossWorkers) {
+  // The request-flow test of ObsTrace, over a pipelined multi-tenant batch:
+  // each worker installs the request id of the frame it runs, so the
+  // shard/predict/done steps of a request land on one thread, together.
+  constexpr std::size_t kTenants = 16;
+  constexpr std::size_t kRequests = 64;
+  PipelinedServer server(/*pool_threads=*/4, kTenants);
+  std::string script;
+  std::size_t predicts = 0;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    if (k % 4 == 0) {
+      net::append_observe_request(script, tenant(k % kTenants), std::vector<double>{7.0});
+    } else {
+      net::append_predict_request(script, tenant(k % kTenants), 2);
+      ++predicts;
+    }
+  }
+  obs::Tracer& tracer = obs::Tracer::instance();
+  obs::Tracer::set_sample_every(1);
+  tracer.start();
+  const std::vector<std::string> replies = server.exchange({script}, {kRequests})[0];
+  tracer.stop();
+  std::ostringstream json_out;
+  tracer.write_json(json_out);
+  tracer.clear();
+  ASSERT_EQ(replies.size(), kRequests);
+
+  // id -> flow step name -> recording thread.
+  std::map<std::uint64_t, std::map<std::string, long>> flows;
+  const std::string json = json_out.str();
+  const auto number_after = [](const std::string& event, const char* key) {
+    const std::size_t at = event.find(key);
+    return at == std::string::npos ? -1L
+                                   : std::strtol(event.c_str() + at + std::strlen(key),
+                                                 nullptr, 10);
+  };
+  for (std::size_t at = json.find("{\"name\":\""); at != std::string::npos;) {
+    const std::size_t next = json.find("{\"name\":\"", at + 1);
+    const std::string event = json.substr(at, next - at);
+    at = next;
+    const std::size_t ph = event.find("\"ph\":\"");
+    if (ph == std::string::npos || std::string("stf").find(event[ph + 6]) == std::string::npos)
+      continue;
+    const std::string name = event.substr(9, event.find('"', 9) - 9);
+    flows[static_cast<std::uint64_t>(number_after(event, "\"id\":"))][name] =
+        number_after(event, "\"tid\":");
+  }
+
+  std::size_t opened = 0;
+  std::size_t predicted = 0;
+  for (const auto& [id, steps] : flows) {
+    if (steps.count("req.frontend") == 0) continue;
+    ++opened;
+    ASSERT_EQ(steps.count("req.done"), 1u) << "request " << id << " never finished";
+    if (steps.count("req.predict") == 0) continue;
+    ++predicted;
+    ASSERT_EQ(steps.count("req.shard"), 1u) << "request " << id;
+    EXPECT_EQ(steps.at("req.predict"), steps.at("req.done"))
+        << "request " << id << " finished on another thread than it predicted on";
+    EXPECT_EQ(steps.at("req.shard"), steps.at("req.predict")) << "request " << id;
+  }
+  EXPECT_EQ(opened, kRequests);
+  EXPECT_EQ(predicted, predicts);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -105,6 +108,35 @@ TEST(ThreadPool, NestedWorkRunsInlineWithoutDeadlock) {
     pool.parallel_for(0, 4, [&](std::size_t) { ++inner_total; });
   });
   EXPECT_EQ(inner_total.load(), 8 * (1 + 4));
+}
+
+TEST(ThreadPool, ParallelForFromOutsideCompletesWhileEveryWorkerIsBlocked) {
+  // What keeps the network loop live during a retrain storm: a caller that is
+  // not a pool worker drains the chunks itself when every worker is busy,
+  // instead of waiting for one to free up.
+  constexpr std::size_t kWorkers = 3;
+  ThreadPool pool(kWorkers);
+  std::latch started(kWorkers);
+  std::latch release(1);
+  std::vector<std::future<void>> blockers;
+  for (std::size_t w = 0; w < kWorkers; ++w)
+    blockers.push_back(pool.submit([&] {
+      started.count_down();
+      release.wait();
+    }));
+  started.wait();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(64, 0);
+  bool all_on_caller = true;
+  pool.parallel_for(0, hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    if (std::this_thread::get_id() != caller) all_on_caller = false;
+  });
+  release.count_down();
+  for (std::future<void>& blocker : blockers) blocker.get();
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << "index " << i;
+  EXPECT_TRUE(all_on_caller) << "every worker was blocked, so the caller ran every chunk";
 }
 
 TEST(ThreadPool, DefaultThreadsIsPositive) {

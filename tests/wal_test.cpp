@@ -21,6 +21,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifndef _WIN32
@@ -588,6 +589,41 @@ TEST_F(WalServiceTest, ShardedRecoveryReplaysEveryTenant) {
   EXPECT_EQ(stats.replayed_values, names.size() * series.size());
   for (const std::string& name : names)
     EXPECT_EQ(reborn.stats(name).observations, series.size()) << name;
+}
+
+TEST_F(WalServiceTest, RecoverThenConcurrentObserveKeepsOneLockOrder) {
+  // Replay applies records under tenant locks, and observe_many journals
+  // while holding them. If replay still held the journal mutex around its
+  // handler, the two paths would take the locks in opposite orders and TSan
+  // (the CI job runs "Wal") would report a lock-order inversion here.
+  testutil::ScopedTempDir tmp("wal_lock_order");
+  const serving::ServiceConfig cfg = durable_config(tmp);  // one shard
+  const std::vector<std::string> names = {"web", "db", "cache", "queue"};
+  {
+    serving::PredictionService service(cfg);
+    for (const std::string& name : names)
+      service.observe_many(name, std::vector<double>{1.0, 2.0});
+  }
+  constexpr std::size_t kBatches = 50;
+  {
+    serving::PredictionService reborn(cfg);
+    ASSERT_EQ(reborn.recover().replayed_values, 2 * names.size());
+    std::vector<std::thread> writers;
+    for (const std::string& name : names)
+      writers.emplace_back([&reborn, name] {
+        for (std::size_t i = 0; i < kBatches; ++i)
+          reborn.observe_many(name, std::vector<double>{static_cast<double>(i), 1.0});
+      });
+    for (std::thread& writer : writers) writer.join();
+    for (const std::string& name : names)
+      EXPECT_EQ(reborn.stats(name).observations, 2 + 2 * kBatches) << name;
+  }
+  // The concurrent appends interleaved tenants in one journal; every batch
+  // must still replay.
+  serving::PredictionService again(cfg);
+  EXPECT_EQ(again.recover().skipped_records, 0u);
+  for (const std::string& name : names)
+    EXPECT_EQ(again.stats(name).observations, 2 + 2 * kBatches) << name;
 }
 
 TEST_F(WalServiceTest, ProtocolExposesSnapshotAndRecoveryCounters) {
