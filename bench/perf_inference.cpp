@@ -10,7 +10,6 @@
 
 #include "core/model.hpp"
 #include "nn/network.hpp"
-#include "tensor/matrix.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/trace.hpp"
 
@@ -50,35 +49,14 @@ void BM_PredictNext(benchmark::State& state) {
                  " L=" + std::to_string(state.range(2)) + " (paper bound: 4.78ms)");
 }
 
-// Spans the hyperparameter selections of Table IV. Runs under the default
-// dispatched tier: on SIMD hosts a single-window predict takes the fused
-// single-timestep path (DESIGN.md §12).
+// Spans the hyperparameter selections of Table IV. A single-window predict
+// takes the fused single-timestep path on every kernel tier (DESIGN.md §12);
+// BM_LstmStep/*/0 in perf_micro measures the layered path it replaced.
 BENCHMARK(BM_PredictNext)
     ->Args({16, 8, 1})
     ->Args({35, 32, 2})
     ->Args({102, 98, 4})
     ->Args({176, 69, 4})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PredictNextUnfused(benchmark::State& state) {
-  // Same serving shapes pinned to the blocked tier: the layered per-step
-  // GEMM path the fused kernel must beat (and the only path on hosts
-  // without a SIMD tier).
-  const auto f = make_fixture(static_cast<std::size_t>(state.range(0)),
-                              static_cast<std::size_t>(state.range(1)),
-                              static_cast<std::size_t>(state.range(2)));
-  const tensor::ScopedKernelMode mode(tensor::KernelMode::kBlocked);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model->predict_next(f.history));
-  }
-  state.SetLabel("n=" + std::to_string(state.range(0)) +
-                 " c=" + std::to_string(state.range(1)) +
-                 " L=" + std::to_string(state.range(2)) + " layered/blocked");
-}
-
-BENCHMARK(BM_PredictNextUnfused)
-    ->Args({35, 32, 2})
-    ->Args({102, 98, 4})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PredictNextQuant(benchmark::State& state) {

@@ -60,8 +60,9 @@ BENCHMARK(BM_GemmTiny)->Arg(4)->Arg(8)->Arg(16);
 void BM_LstmStep(benchmark::State& state) {
   // Single-window inference through a stacked network: the serving hot path.
   // Arg0 = hidden size, Arg1 = 1 for the fused single-timestep kernel
-  // (forward_one), 0 for the layered per-step GEMM path pinned to the
-  // blocked tier — the pre-SIMD behavior the fused path must beat.
+  // (forward_one, the forecast path on every tier), 0 for the layered
+  // per-step GEMM path pinned to the blocked tier — the pre-fused forecast
+  // path the fused kernel must beat.
   const auto hidden = static_cast<std::size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
   nn::LstmNetwork net({.input_size = 1, .hidden_size = hidden, .num_layers = 2}, 11);
@@ -71,14 +72,11 @@ void BM_LstmStep(benchmark::State& state) {
   tensor::Matrix x(1, window.size());
   for (std::size_t t = 0; t < window.size(); ++t) x(0, t) = window[t];
 
-  const tensor::ScopedKernelMode mode(fused ? tensor::default_kernel_mode()
-                                            : tensor::KernelMode::kBlocked);
-  for (auto _ : state) {
-    if (fused) {
-      benchmark::DoNotOptimize(net.forward_one(window));
-    } else {
-      benchmark::DoNotOptimize(net.forward(x));
-    }
+  if (fused) {
+    for (auto _ : state) benchmark::DoNotOptimize(net.forward_one(window));
+  } else {
+    const tensor::ScopedKernelMode mode(tensor::KernelMode::kBlocked);
+    for (auto _ : state) benchmark::DoNotOptimize(net.forward(x));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(window.size()));
   state.SetLabel(std::string(fused ? "fused" : "layered/blocked") + " T=35 L=2");

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -62,7 +63,8 @@ flags:
   --history N          per-workload history cap (default 4096)
   --threads N          resize the shared thread pool
   --no-retrain         disable drift-triggered background retraining
-  --quant              int8 row-quantized fused inference (LD_QUANT=1)
+  --quant              int8 row-quantized inference (LD_QUANT=1), on every
+                       kernel tier
   --interval M         CSV trace interval minutes (default 30)
   --epochs E           quick-train epoch budget (default 20)
   --seed S             quick-train seed (default 2020)
@@ -100,7 +102,9 @@ env: LD_LOG_LEVEL=debug|info|warn|error|off, LD_TRACE=FILE,
      every Nth request's flow), LD_METRICS_MAX_SERIES=N (cardinality
      governor: cap exposed series, roll the long tail into
      workload="__other"), LD_NUM_THREADS=N, LD_FAULTS=SPEC, LD_FAULT_SEED=N,
-     LD_KERNEL=auto|avx512|avx2|blocked|reference (GEMM tier), LD_QUANT=1,
+     LD_KERNEL=auto|avx512|avx2|blocked|reference (GEMM tier for training
+     and BO; forecasts run fused on every tier, layered only on the
+     reference oracle), LD_QUANT=1,
      LD_WAL_FSYNC=always|interval|never (see docs/API.md, ld::fault)
 )";
 
@@ -152,17 +156,18 @@ void quick_train(serving::PredictionService& service, const std::string& name,
       << "validation MAPE " << model->validation_mape() << "%)\n";
 }
 
-/// Periodically rewrites the Prometheus scrape to a file (plus one final
-/// scrape at shutdown) — pull-style monitoring for a process with no HTTP
-/// listener: point a node-exporter textfile collector or a tail at it.
-class MetricsDumper {
+/// Runs `tick` every `interval_seconds` (at least 0.1 s) on a background
+/// thread until destruction; an empty `tick` starts nothing. The destructor
+/// wakes and joins the thread, then runs `tick` once more if `final_tick`.
+class PeriodicTask {
  public:
-  MetricsDumper(std::string path, double interval_seconds) : path_(std::move(path)) {
-    if (path_.empty()) return;
+  PeriodicTask(std::function<void()> tick, double interval_seconds, bool final_tick)
+      : tick_(std::move(tick)), final_tick_(final_tick) {
+    if (!tick_) return;
     interval_ = std::chrono::duration<double>(std::max(interval_seconds, 0.1));
     thread_ = std::thread([this] { loop(); });
   }
-  ~MetricsDumper() {
+  ~PeriodicTask() {
     if (!thread_.joinable()) return;
     {
       std::scoped_lock lock(mu_);
@@ -170,76 +175,62 @@ class MetricsDumper {
     }
     cv_.notify_all();
     thread_.join();
-    dump();  // final scrape so short runs still leave a complete file
+    if (final_tick_) tick_();
   }
-
- private:
-  void loop() {
-    std::unique_lock lock(mu_);
-    while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) dump();
-  }
-  void dump() {
-    std::ofstream file(path_, std::ios::trunc);
-    if (!file) {
-      log::warn("ld_serve: cannot write metrics to '", path_, "'");
-      return;
-    }
-    file << obs::MetricsRegistry::global().prometheus_text();
-  }
-
-  std::string path_;
-  std::chrono::duration<double> interval_{5.0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-/// Periodic snapshot compaction for the durability layer: the WAL stays
-/// short (bounded recovery time) and the manifest stays fresh. Same
-/// lifecycle shape as MetricsDumper; the final at-exit snapshot is written
-/// explicitly by run_serve after the protocol session drains.
-class SnapshotTicker {
- public:
-  SnapshotTicker(serving::PredictionService& service, double interval_seconds)
-      : service_(service) {
-    if (!service_.wal_enabled() || interval_seconds <= 0) return;
-    interval_ = std::chrono::duration<double>(std::max(interval_seconds, 0.1));
-    thread_ = std::thread([this] { loop(); });
-  }
-  ~SnapshotTicker() {
-    if (!thread_.joinable()) return;
-    {
-      std::scoped_lock lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
+  PeriodicTask(const PeriodicTask&) = delete;
+  PeriodicTask& operator=(const PeriodicTask&) = delete;
 
  private:
   void loop() {
     std::unique_lock lock(mu_);
     while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) {
       lock.unlock();
-      try {
-        service_.write_snapshot();
-      } catch (const std::exception& e) {
-        // Segments are never deleted on a failed write, so durability holds;
-        // the next tick retries.
-        log::warn("ld_serve: periodic snapshot failed: ", e.what());
-      }
+      tick_();
       lock.lock();
     }
   }
 
-  serving::PredictionService& service_;
-  std::chrono::duration<double> interval_{30.0};
+  std::function<void()> tick_;
+  bool final_tick_;
+  std::chrono::duration<double> interval_{0.0};
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
   std::thread thread_;
 };
+
+/// Rewrites the Prometheus scrape to `path` — pull-style monitoring for a
+/// process with no HTTP listener: point a node-exporter textfile collector or
+/// a tail at it. Empty when no path is given.
+std::function<void()> metrics_dump(const std::string& path) {
+  if (path.empty()) return {};
+  return [path] {
+    std::ofstream file(path, std::ios::trunc);
+    if (!file) {
+      log::warn("ld_serve: cannot write metrics to '", path, "'");
+      return;
+    }
+    file << obs::MetricsRegistry::global().prometheus_text();
+  };
+}
+
+/// Snapshot compaction for the durability layer: the WAL stays short
+/// (bounded recovery time) and the manifest stays fresh. Empty without a WAL
+/// or with a non-positive interval; the final at-exit snapshot is written
+/// explicitly by run_serve after the protocol session drains.
+std::function<void()> snapshot_tick(serving::PredictionService& service,
+                                    double interval_seconds) {
+  if (!service.wal_enabled() || interval_seconds <= 0) return {};
+  return [&service] {
+    try {
+      service.write_snapshot();
+    } catch (const std::exception& e) {
+      // Segments are never deleted on a failed write, so durability holds;
+      // the next tick retries.
+      log::warn("ld_serve: periodic snapshot failed: ", e.what());
+    }
+  };
+}
 
 /// SIGINT/SIGTERM land here while --listen is up: stop() and drain() are
 /// signal-safe (an atomic store plus a self-pipe write).
@@ -275,8 +266,10 @@ int run_serve(int argc, const char* const* argv, std::istream& in, std::ostream&
     // Scope-bound: the trace file and final metrics scrape are written when
     // the try block unwinds, after the protocol session has fully drained.
     const obs::TraceSession trace_session(args.get("trace", ""));
-    const MetricsDumper metrics_dumper(args.get("metrics-out", ""),
-                                       args.get_double("metrics-interval", 5.0));
+    // The final dump runs at shutdown so short runs still leave a complete file.
+    const PeriodicTask metrics_dumper(metrics_dump(args.get("metrics-out", "")),
+                                      args.get_double("metrics-interval", 5.0),
+                                      /*final_tick=*/true);
 
     if (args.get_int("threads", 0) > 0)
       ThreadPool::set_global_size(static_cast<std::size_t>(args.get_int("threads", 0)));
@@ -356,8 +349,9 @@ int run_serve(int argc, const char* const* argv, std::istream& in, std::ostream&
       }
     }
 
-    const SnapshotTicker snapshot_ticker(service,
-                                         args.get_double("snapshot-interval", 30.0));
+    const double snapshot_interval = args.get_double("snapshot-interval", 30.0);
+    const PeriodicTask snapshot_ticker(snapshot_tick(service, snapshot_interval),
+                                       snapshot_interval, /*final_tick=*/false);
 
     std::size_t commands = 0;
     if (args.has("listen")) {

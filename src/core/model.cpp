@@ -110,46 +110,44 @@ std::shared_ptr<TrainedModel> TrainedModel::restore(const ModelSnapshot& snap) {
   return model;
 }
 
-double TrainedModel::predict_next(std::span<const double> history) const {
+void TrainedModel::roll_forecast(std::span<const double> history, std::span<double> out) const {
+  if (out.empty()) return;
   if (history.empty()) throw std::invalid_argument("TrainedModel: empty history");
   const std::size_t w = effective_window_;
-  std::vector<double> window(w);
+  tensor::Matrix window(1, w);  // one row: the batch shape forward() takes
+  const std::span<double> values = window.flat();
   // Left-pad with the earliest available value when history is short.
   for (std::size_t j = 0; j < w; ++j) {
     const std::ptrdiff_t idx =
         static_cast<std::ptrdiff_t>(history.size()) - static_cast<std::ptrdiff_t>(w) +
         static_cast<std::ptrdiff_t>(j);
     const double v = idx >= 0 ? history[static_cast<std::size_t>(idx)] : history.front();
-    window[j] = scaler_.transform(v);
+    values[j] = scaler_.transform(v);
   }
-  // The serving hot path: on a SIMD kernel tier, take the fused
-  // single-timestep fast path (DESIGN.md §12). Gated on the tier so
-  // LD_KERNEL=blocked|reference stays bit-identical to the pre-fused
-  // layered path (the golden gates pin that behavior), and the serving
-  // differential check — which shadows under ScopedKernelMode kReference —
-  // automatically compares fused against layered reference.
-  const tensor::KernelMode mode = tensor::kernel_mode();
-  double y;
-  if (mode == tensor::KernelMode::kAvx2 || mode == tensor::KernelMode::kAvx512) {
-    y = network_->forward_one(window);
-  } else {
-    tensor::Matrix x(1, w);
-    for (std::size_t j = 0; j < w; ++j) x(0, j) = window[j];
-    y = network_->forward(x)[0];
+  // The fused single-window step is the inference path on every GEMM tier
+  // (DESIGN.md §12). Only a thread pinned to the reference kernels takes the
+  // layered forward: that is the oracle LD_VERIFY_DIFF and the differential
+  // tests compare the fused path against.
+  const bool layered = tensor::kernel_mode() == tensor::KernelMode::kReference;
+  for (double& forecast : out) {
+    const double y = layered ? network_->forward(window)[0] : network_->forward_one(values);
+    forecast = std::max(0.0, scaler_.inverse(y));
+    // Recursive multi-step: the forecast becomes the newest window value.
+    std::shift_left(values.begin(), values.end(), 1);
+    values.back() = scaler_.transform(forecast);
   }
-  return std::max(0.0, scaler_.inverse(y));
+}
+
+double TrainedModel::predict_next(std::span<const double> history) const {
+  double next = 0.0;
+  roll_forecast(history, {&next, 1});
+  return next;
 }
 
 std::vector<double> TrainedModel::predict_horizon(std::span<const double> history,
                                                   std::size_t steps) const {
-  std::vector<double> extended(history.begin(), history.end());
-  std::vector<double> out;
-  out.reserve(steps);
-  for (std::size_t s = 0; s < steps; ++s) {
-    const double p = predict_next(extended);
-    out.push_back(p);
-    extended.push_back(p);
-  }
+  std::vector<double> out(steps);
+  roll_forecast(history, out);
   return out;
 }
 

@@ -57,7 +57,8 @@ class TrainedModel final : public ts::Predictor {
   }
 
   /// Recursive multi-step forecast: each step feeds the previous prediction
-  /// back as input.
+  /// back as input. Bit-identical to calling predict_next on the history
+  /// extended by each forecast in turn.
   [[nodiscard]] std::vector<double> predict_horizon(std::span<const double> history,
                                                     std::size_t steps) const;
 
@@ -72,6 +73,10 @@ class TrainedModel final : public ts::Predictor {
 
  private:
   TrainedModel() = default;  // used by restore()
+  /// Fills `out` with the recursive forecast of the next out.size() values:
+  /// one scaled window, rolled forward one forecast per step.
+  void roll_forecast(std::span<const double> history, std::span<double> out) const;
+
   Hyperparameters hp_;
   nn::MinMaxScaler scaler_;
   // The network's forward pass mutates internal caches; predictions are

@@ -41,8 +41,9 @@ class LstmNetwork {
   /// Forward a batch of univariate windows: x is (B x T) where each row is a
   /// window <J_{i-n}..J_{i-1}>. Returns B scalar predictions. Requires
   /// input_size == 1 and output_size == 1 (the paper's configuration).
-  /// Always runs the layered path and populates the caches backward() needs;
-  /// latency-critical single-window inference goes through forward_one.
+  /// Always runs the layered path and populates the caches backward() needs:
+  /// the training forward pass, batched walk-forward scoring, and the
+  /// reference oracle that forward_one is checked against.
   [[nodiscard]] std::vector<double> forward(const tensor::Matrix& x);
 
   /// Fused single-window inference (DESIGN.md §12): advances every layer one
@@ -51,9 +52,9 @@ class LstmNetwork {
   /// quantized_inference_enabled() by running the recurrent stack in float
   /// over int8 row-quantized weights (the head stays fp64). Does NOT
   /// populate backward caches — callers that need backward() must use
-  /// forward(). TrainedModel::predict_next dispatches here when a SIMD
-  /// kernel tier is selected, so LD_KERNEL=blocked|reference keeps the
-  /// layered path bit-identical to pre-fused behavior. Requires 1-in/1-out.
+  /// forward(). Never calls the GEMM, so it behaves the same on every kernel
+  /// tier: TrainedModel's single-window forecasts run here unless the thread
+  /// pinned KernelMode::kReference. Requires 1-in/1-out.
   [[nodiscard]] double forward_one(std::span<const double> window);
 
   /// General form: `sequence[t]` is a (B x input_size) feature matrix —

@@ -56,20 +56,12 @@ double steady_seconds() {
       .count();
 }
 
-/// Recompute `blocked` with the reference kernels and report a divergence
-/// beyond the documented ULP bound. Never throws, never alters the forecast.
+/// Recompute `live` with the layered reference forward and report a
+/// divergence beyond the fused-inference ULP bound. Never throws, never
+/// alters the forecast.
 void diff_check_forecast(const std::string& name, const PublishedModel& model,
                          std::span<const double> history, std::size_t horizon,
                          std::span<const double> live) {
-  // On a SIMD tier the live predict runs the fused single-timestep path,
-  // whose regrouped accumulation diverges further from the layered reference
-  // than blocked-vs-reference does — pick the bound that matches what
-  // actually ran.
-  const tensor::KernelMode mode = tensor::kernel_mode();
-  const bool fused_live = mode == tensor::KernelMode::kAvx2 ||
-                          mode == tensor::KernelMode::kAvx512;
-  const std::uint64_t bound =
-      fused_live ? verify::kFusedPredictUlpBound : verify::kPredictUlpBound;
   std::vector<double> reference;
   try {
     const tensor::ScopedKernelMode guard(tensor::KernelMode::kReference);
@@ -78,13 +70,14 @@ void diff_check_forecast(const std::string& name, const PublishedModel& model,
     log::warn("serving: verify-diff reference predict for '", name, "' threw: ", e.what());
   }
   const bool mismatch = reference.size() != live.size() ||
-                        verify::max_ulp_distance(live, reference) > bound;
+                        verify::max_ulp_distance(live, reference) > verify::kFusedPredictUlpBound;
   if (!mismatch) return;
   obs::MetricsRegistry::global()
       .counter("ld_verify_diff_mismatch_total", {{"workload", name}})
       .inc();
   log::warn("serving: verify-diff mismatch on '", name, "' (horizon ", horizon,
-            "): live and reference kernels disagree beyond ", bound, " ULPs");
+            "): fused and layered reference forecasts disagree beyond ",
+            verify::kFusedPredictUlpBound, " ULPs");
 }
 
 }  // namespace
@@ -193,7 +186,7 @@ PredictionService::Workload& PredictionService::ensure_workload(const std::strin
   std::scoped_lock lock(shard.map_mu);
   auto& slot = shard.workloads[name];
   if (!slot) {
-    slot = std::make_unique<Workload>(config_.adaptive.drift_config(), name);
+    slot = std::make_unique<Workload>(config_.adaptive.drift, name);
     // Journal the registration under map_mu so per-shard registration order
     // matches apply order on replay. Replayed registrations are already
     // durable (they came FROM the journal) and are not re-appended.

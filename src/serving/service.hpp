@@ -142,11 +142,10 @@ struct PredictResult {
 
 /// Differential kernel verification (DESIGN.md §11). When enabled — via
 /// set_verify_diff(true), or LD_VERIFY_DIFF=1 in the environment when the
-/// setter was never called — every live forecast is recomputed with the
-/// serial reference kernels (tensor::KernelMode::kReference) and compared
-/// ULP-wise against the production path. A divergence beyond the documented
-/// bound — verify::kPredictUlpBound for the blocked tier,
-/// verify::kFusedPredictUlpBound when a SIMD tier's fused inference ran —
+/// setter was never called — every live forecast is recomputed through the
+/// layered forward on the serial reference kernels
+/// (tensor::KernelMode::kReference) and compared ULP-wise against the fused
+/// production path. A divergence beyond verify::kFusedPredictUlpBound
 /// bumps ld_verify_diff_mismatch_total{workload=} and logs a warning; the
 /// production forecast is served either way.
 /// Roughly doubles predict cost — a canary/debug mode, not a default.

@@ -32,7 +32,6 @@ namespace ld::verify {
 /// compilers/architectures.
 inline constexpr std::uint64_t kGemmUlpBound = 16;    ///< one GEMM call
 inline constexpr std::uint64_t kLstmUlpBound = 1024;  ///< a full recurrent forward pass
-inline constexpr std::uint64_t kPredictUlpBound = 4096;  ///< multi-step serving forecast
 
 /// One SIMD-tier GEMM call (kAvx2/kAvx512, serial or ThreadPool-parallel) vs
 /// the scalar reference. The micro-tiles keep the ascending-k single-pass
@@ -41,13 +40,15 @@ inline constexpr std::uint64_t kPredictUlpBound = 4096;  ///< multi-step serving
 /// reference loop, so the bound gets headroom over kGemmUlpBound.
 inline constexpr std::uint64_t kSimdGemmUlpBound = 64;
 
-/// Fused single-timestep inference (LstmNetwork::forward_one) vs the layered
-/// reference forward, end to end through a serving predict. The fused step
+/// Fused single-timestep inference (LstmNetwork::forward_one), the forecast
+/// path on every GEMM tier, vs the layered reference forward, end to end
+/// through a one-step or recursive multi-step predict. The fused step
 /// accumulates the W and U contributions into one running sum instead of two
 /// separately-summed GEMV results added once, and that regrouping compounds
-/// through T recurrent steps of squashing nonlinearities — hence a larger
-/// bound than kPredictUlpBound. Only meaningful on well-scaled (trained,
-/// positive) predictions, like the other bounds.
+/// through T recurrent steps of squashing nonlinearities (and, multi-step,
+/// through the forecasts fed back as input) — hence a larger bound than
+/// kLstmUlpBound. Only meaningful on well-scaled (trained, positive)
+/// predictions, like the other bounds.
 inline constexpr std::uint64_t kFusedPredictUlpBound = 65536;
 
 /// Accuracy guardrail for int8 row-quantized inference (LD_QUANT): the

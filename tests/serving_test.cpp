@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <numbers>
 #include <sstream>
@@ -57,11 +58,11 @@ serving::ServiceConfig quick_service(bool background_retrain = false) {
   cfg.adaptive.base.training.trainer.max_epochs = 3;
   cfg.adaptive.refresh_candidates = 1;
   cfg.adaptive.retrain_history_cap = 120;
-  cfg.adaptive.monitor_window = 16;
-  cfg.adaptive.min_scored = 6;
-  cfg.adaptive.cooldown = 8;
-  cfg.adaptive.degradation_factor = 1.5;
-  cfg.adaptive.absolute_mape_floor = 10.0;
+  cfg.adaptive.drift.monitor_window = 16;
+  cfg.adaptive.drift.min_scored = 6;
+  cfg.adaptive.drift.cooldown = 8;
+  cfg.adaptive.drift.degradation_factor = 1.5;
+  cfg.adaptive.drift.absolute_mape_floor = 10.0;
   return cfg;
 }
 
@@ -488,6 +489,42 @@ TEST(ServingApp, ResumesWorkloadsFromCheckpointDir) {
   EXPECT_EQ(app::run_serve(6, argv, in, out, err), 0) << err.str();
   EXPECT_NE(err.str().find("resumed 'web'"), std::string::npos);
   EXPECT_NE(out.str().find("PRED web "), std::string::npos);
+}
+
+TEST(ServingApp, MetricsOutGetsAFinalDumpAtShutdown) {
+  // The periodic dump may never tick in a run this short; the final one at
+  // shutdown must still leave the complete scrape behind.
+  const auto series = seasonal(240);
+  const testutil::ScopedTempDir tmp("serving_app_metrics");
+  const std::string model_path = tmp.file("dumped.ldm");
+  core::save_model_file(*quick_model(series), model_path);
+  const std::string replay_path = tmp.file("replay.txt");
+  std::ostringstream script;
+  script.precision(std::numeric_limits<double>::max_digits10);
+  script << "INGEST dumped";
+  for (std::size_t i = 0; i < 60; ++i) script << ' ' << series[i];
+  script << "\nPREDICT dumped 2\nQUIT\n";
+  std::ofstream(replay_path) << script.str();
+  const std::string metrics_path = tmp.file("metrics.prom");
+
+  const std::string spec = "dumped=" + model_path;
+  const char* argv[] = {"ld_serve",      spec.c_str(),         "--replay",
+                        replay_path.c_str(), "--no-retrain",   "--metrics-out",
+                        metrics_path.c_str(), "--metrics-interval", "60"};
+  std::istringstream in;
+  std::ostringstream out, err;
+  ASSERT_EQ(app::run_serve(9, argv, in, out, err), 0) << err.str();
+  std::ifstream file(metrics_path);
+  ASSERT_TRUE(file) << "no metrics file written";
+  const std::string scrape((std::istreambuf_iterator<char>(file)), {});
+  // The count as of shutdown, PREDICT included (a gtest_repeat run counts on).
+  const std::uint64_t predictions =
+      testutil::counter_value("ld_serving_predictions_total", {{"workload", "dumped"}});
+  EXPECT_GE(predictions, 1u);
+  EXPECT_NE(scrape.find("ld_serving_predictions_total{workload=\"dumped\"} " +
+                        std::to_string(predictions)),
+            std::string::npos)
+      << scrape.substr(0, 2000);
 }
 
 TEST(ServingApp, BadWorkloadSpecFailsCleanly) {

@@ -3,12 +3,17 @@
 #include <cmath>
 #include <numbers>
 
+#include <unistd.h>
+
 #include "common/rng.hpp"
 
 namespace ld::testutil {
 
 ScopedTempDir::ScopedTempDir(const std::string& tag) {
-  path_ = std::filesystem::temp_directory_path() / ("ld_test_" + tag);
+  // The pid keeps concurrent test processes (ctest -j runs each discovered
+  // test as its own process) from sharing, and wiping, one directory.
+  path_ = std::filesystem::temp_directory_path() /
+          ("ld_test_" + tag + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(path_);
   std::filesystem::create_directories(path_);
 }

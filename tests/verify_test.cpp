@@ -5,6 +5,7 @@
 // single-timestep inference path (fp64 and int8-quantized).
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -288,6 +289,14 @@ std::vector<tensor::KernelMode> supported_simd_tiers() {
   return tiers;
 }
 
+/// Every production GEMM tier this host runs: forecasts take the fused path
+/// on each of them, so the fused tests cover them all, SIMD build or not.
+std::vector<tensor::KernelMode> production_tiers() {
+  std::vector<tensor::KernelMode> tiers{tensor::KernelMode::kBlocked};
+  for (const tensor::KernelMode mode : supported_simd_tiers()) tiers.push_back(mode);
+  return tiers;
+}
+
 TEST(DifferentialGemm, SimdTiersMatchReferenceWithinBound) {
   const auto tiers = supported_simd_tiers();
   if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
@@ -447,8 +456,9 @@ TEST(DifferentialLstm, WalkForwardSeriesWithinBound) {
 }
 
 TEST(DifferentialLstm, RecursiveHorizonWithinPredictBound) {
-  // Recursive multi-step feeds rounding differences back into the input, so
-  // this path gets the wider serving bound.
+  // The blocked tier forecasts through the fused single-timestep path, and
+  // recursive multi-step feeds rounding differences back into the input, so
+  // this path gets the fused-vs-layered bound.
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
 
@@ -461,7 +471,7 @@ TEST(DifferentialLstm, RecursiveHorizonWithinPredictBound) {
     tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
     reference = model->predict_horizon(series, 12);
   }
-  EXPECT_LE(verify::max_ulp_distance(blocked, reference), verify::kPredictUlpBound);
+  EXPECT_LE(verify::max_ulp_distance(blocked, reference), verify::kFusedPredictUlpBound);
 }
 
 TEST(ServingDiff, LivePredictPassesDifferentialCheck) {
@@ -483,16 +493,14 @@ TEST(ServingDiff, LivePredictPassesDifferentialCheck) {
   EXPECT_EQ(result.level, fault::DegradationLevel::kLive);
   ASSERT_EQ(result.forecast.size(), 6u);
   EXPECT_EQ(mismatches.delta(), 0u)
-      << "blocked and reference kernels diverged beyond kPredictUlpBound";
+      << "fused predict diverged from the layered reference beyond kFusedPredictUlpBound";
 }
 
 TEST(ServingDiff, FusedLivePredictPassesDifferentialCheck) {
-  // Same differential check with a SIMD tier live: the service predict takes
-  // the fused single-timestep path while the shadow recompute runs the
-  // layered reference — so LD_VERIFY_DIFF exercises exactly the fused-vs-
-  // layered comparison, against the wider kFusedPredictUlpBound.
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
+  // The service predict takes the fused single-timestep path on every
+  // production tier while the LD_VERIFY_DIFF shadow recompute runs the
+  // layered reference — so the check compares exactly fused against
+  // layered, against kFusedPredictUlpBound.
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
 
@@ -502,7 +510,7 @@ TEST(ServingDiff, FusedLivePredictPassesDifferentialCheck) {
   service.publish("fuseddiff", *model);
   service.observe_many("fuseddiff", series);
 
-  for (const tensor::KernelMode tier : tiers) {
+  for (const tensor::KernelMode tier : production_tiers()) {
     const tensor::ScopedKernelMode mode(tier);
     const testutil::CounterDelta mismatches("ld_verify_diff_mismatch_total",
                                             {{"workload", "fuseddiff"}});
@@ -556,8 +564,8 @@ TEST(DifferentialFused, ForwardOneMatchesLayeredForwardBothCells) {
 }
 
 TEST(DifferentialFused, TrainedPredictWithinFusedBound) {
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
+  // One-step and recursive multi-step forecasts on every production tier
+  // against the layered reference forward (a kReference-pinned thread).
   nn::set_quantized_inference(false);
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
@@ -569,7 +577,7 @@ TEST(DifferentialFused, TrainedPredictWithinFusedBound) {
     reference = model->predict_next(series);
     horizon_ref = model->predict_horizon(series, 12);
   }
-  for (const tensor::KernelMode tier : tiers) {
+  for (const tensor::KernelMode tier : production_tiers()) {
     const tensor::ScopedKernelMode mode(tier);
     const double fused = model->predict_next(series);
     const std::vector<double> horizon = model->predict_horizon(series, 12);
@@ -582,20 +590,50 @@ TEST(DifferentialFused, TrainedPredictWithinFusedBound) {
   }
 }
 
+TEST(DifferentialFused, RollingHorizonMatchesPredictNextOverExtendedHistory) {
+  // predict_horizon rolls one scaled window forward; it must reproduce, bit
+  // for bit, predict_next over the history extended by each forecast —
+  // including a history shorter than the window, where the left-padding
+  // must shift out exactly as the extended history's would.
+  nn::set_quantized_inference(false);
+  const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
+  const auto model = quick_model(series);
+  const std::size_t window = model->snapshot().effective_window;
+  ASSERT_GT(window, 3u);
+
+  for (const tensor::KernelMode tier :
+       {tensor::default_kernel_mode(), tensor::KernelMode::kReference}) {
+    const tensor::ScopedKernelMode mode(tier);
+    for (const std::size_t length : {std::size_t{3}, series.size()}) {
+      const std::span<const double> history(series.data(), length);
+      const std::size_t steps = window + 4;  // long enough to roll out all padding
+      const std::vector<double> horizon = model->predict_horizon(history, steps);
+      std::vector<double> extended(history.begin(), history.end());
+      ASSERT_EQ(horizon.size(), steps);
+      for (std::size_t s = 0; s < steps; ++s) {
+        const double next = model->predict_next(extended);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(horizon[s]), std::bit_cast<std::uint64_t>(next))
+            << tensor::kernel_mode_name(tier) << " history " << length << " step " << s;
+        extended.push_back(next);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Quantization guardrail (ISSUE satellite): int8 row-quantized inference is
 // a deliberate approximation, so it is bounded in model-quality units — the
 // fig9-style walk-forward test MAPE may exceed the fp64 MAPE by at most
 // verify::kQuantMapeTolerancePp percentage points.
 
-TEST(QuantizedInference, WalkForwardMapeWithinGuardrail) {
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "quantized path needs the fused (SIMD-tier) predict";
+/// Walk-forward fp64 and int8 forecasts of the test tail on the calling
+/// thread's kernel tier: the int8 path must engage (forecasts change) and
+/// stay within the MAPE guardrail.
+void expect_quantized_within_guardrail() {
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
   const std::size_t test_start = 120;
 
-  const tensor::ScopedKernelMode mode(tiers.back());
   const auto walk_forward = [&](bool quantized) {
     nn::set_quantized_inference(quantized);
     std::vector<double> preds;
@@ -613,10 +651,22 @@ TEST(QuantizedInference, WalkForwardMapeWithinGuardrail) {
   const double fp64_mape = metrics::mape(actual, fp64_preds);
   const double int8_mape = metrics::mape(actual, int8_preds);
   EXPECT_NE(fp64_preds, int8_preds)
-      << "quantized inference produced bit-identical forecasts — the int8 "
+      << tensor::kernel_mode_name(tensor::kernel_mode())
+      << ": quantized inference produced bit-identical forecasts — the int8 "
          "path did not engage";
   EXPECT_LE(std::abs(int8_mape - fp64_mape), verify::kQuantMapeTolerancePp)
       << "fp64 MAPE " << fp64_mape << "% vs int8 MAPE " << int8_mape << "%";
+}
+
+TEST(QuantizedInference, WalkForwardMapeWithinGuardrail) {
+  const tensor::ScopedKernelMode mode(tensor::default_kernel_mode());
+  expect_quantized_within_guardrail();
+}
+
+TEST(QuantizedInference, AppliesOnBlockedTier) {
+  // --quant / LD_QUANT=1 must not depend on the GEMM tier.
+  const tensor::ScopedKernelMode mode(tensor::KernelMode::kBlocked);
+  expect_quantized_within_guardrail();
 }
 
 // ---------------------------------------------------------------------------
