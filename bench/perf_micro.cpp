@@ -73,7 +73,8 @@ void BM_LstmStep(benchmark::State& state) {
   for (std::size_t t = 0; t < window.size(); ++t) x(0, t) = window[t];
 
   if (fused) {
-    for (auto _ : state) benchmark::DoNotOptimize(net.forward_one(window));
+    const nn::LstmNetwork& frozen = net;  // the const, thread-safe serving path
+    for (auto _ : state) benchmark::DoNotOptimize(frozen.forward_one(window));
   } else {
     const tensor::ScopedKernelMode mode(tensor::KernelMode::kBlocked);
     for (auto _ : state) benchmark::DoNotOptimize(net.forward(x));

@@ -4,7 +4,7 @@
 // predictors hammering forecasts — then reports per-workload and aggregate
 // throughput plus p50/p95/p99 prediction latency.
 //
-//   serve_replay [--threads 4] [--requests 2000] [--horizon 4] [--replicas 2]
+//   serve_replay [--threads 4] [--requests 2000] [--horizon 4]
 //                [--workloads 2|3] [--epochs 12] [--no-retrain] [--seed 2020]
 //                [--trace out.json] [--faults SPEC] [--fault-seed 42]
 //                [--retrain-timeout S] [--checkpoint-dir D] [--wal-dir D]
@@ -132,11 +132,11 @@ int run_connect_mode(const cli::Args& args) {
   const bool chaos = fault::Injector::enabled();
 
   // Registration dominates setup at 10k tenants, so the fleet shares one
-  // small trained model under distinct names; the latency being measured is
-  // the serving path (socket -> frame -> shard lookup -> forecast), which is
-  // identical whether the snapshots are distinct or shared.
+  // small trained model under distinct names (every tenant's published copy
+  // shares its one immutable network); the latency being measured is the
+  // serving path (socket -> frame -> shard lookup -> forecast), which is
+  // identical whether the weights are distinct or shared.
   serving::ServiceConfig cfg;
-  cfg.replicas = 1;
   cfg.background_retrain = false;  // keep the curve free of retrain noise
   cfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
   cfg.adaptive.base.seed = seed;
@@ -332,7 +332,6 @@ int run_register_mode(const cli::Args& args) {
   const double max_publish_p99_ms = args.get_double("max-publish-p99-ms", 0.0);
 
   serving::ServiceConfig cfg;
-  cfg.replicas = 1;
   cfg.background_retrain = false;
   cfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
   cfg.adaptive.base.seed = seed;
@@ -440,7 +439,6 @@ int main(int argc, char** argv) {
   // Serving config: small warm retrains so a background retrain completes
   // within the bench window and actually overlaps the predictions.
   serving::ServiceConfig cfg;
-  cfg.replicas = static_cast<std::size_t>(args.get_int("replicas", 2));
   cfg.background_retrain = !args.get_bool("no-retrain");
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.seed = seed;

@@ -8,9 +8,11 @@
 #include <fstream>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,16 +53,15 @@ flags:
                        (PORT 0 picks an ephemeral port; the bound port is
                        announced as "LISTENING <port>" on stdout)
   --host ADDR          listen address (default 127.0.0.1)
-  --shards N           registry/retrain-queue shard count
-                       (default LD_SHARDS, else hardware concurrency)
+  --shards N           registry/retrain-queue shard count, 0..256
+                       (default 0: LD_SHARDS, else hardware concurrency)
   --idle-timeout S     close connections idle for S seconds (default 300)
   --max-conns N        concurrent connection cap (default 1024)
   --shed-observe N     pending-queue depth at which OBSERVE/INGEST shed
                        with "503 SHED" (default 512)
   --shed-predict N     depth at which PREDICT/BATCH shed too (default 2048)
   --checkpoint-dir D   persist models on publish; warm-start from D
-  --replicas N         inference replicas per snapshot (default 2)
-  --history N          per-workload history cap (default 4096)
+  --history N          per-workload history cap, >= 16 (default 4096)
   --threads N          resize the shared thread pool
   --no-retrain         disable drift-triggered background retraining
   --quant              int8 row-quantized inference (LD_QUANT=1), on every
@@ -107,6 +108,17 @@ env: LD_LOG_LEVEL=debug|info|warn|error|off, LD_TRACE=FILE,
      reference oracle), LD_QUANT=1,
      LD_WAL_FSYNC=always|interval|never (see docs/API.md, ld::fault)
 )";
+
+/// A size flag's value, checked against [lo, hi] before the cast to size_t
+/// (where a negative value would wrap to a huge size).
+std::size_t size_flag(const cli::Args& args, const std::string& name, long long fallback,
+                      long long lo, long long hi = std::numeric_limits<long long>::max()) {
+  const long long v = args.get_int(name, fallback);
+  const std::string got = ", got " + std::to_string(v);
+  if (v < lo) throw std::invalid_argument("--" + name + " must be >= " + std::to_string(lo) + got);
+  if (v > hi) throw std::invalid_argument("--" + name + " must be <= " + std::to_string(hi) + got);
+  return static_cast<std::size_t>(v);
+}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(),
@@ -275,9 +287,8 @@ int run_serve(int argc, const char* const* argv, std::istream& in, std::ostream&
       ThreadPool::set_global_size(static_cast<std::size_t>(args.get_int("threads", 0)));
 
     serving::ServiceConfig cfg;
-    cfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
-    cfg.max_history = static_cast<std::size_t>(args.get_int("history", 4096));
-    cfg.replicas = static_cast<std::size_t>(args.get_int("replicas", 2));
+    cfg.shards = size_flag(args, "shards", 0, 0, 256);
+    cfg.max_history = size_flag(args, "history", 4096, 16);
     cfg.checkpoint_dir = args.get("checkpoint-dir", "");
     cfg.background_retrain = !args.get_bool("no-retrain");
     if (args.get_bool("quant")) nn::set_quantized_inference(true);

@@ -12,8 +12,7 @@
 // flags:
 //   --replay FILE        read commands from FILE instead of stdin
 //   --checkpoint-dir D   persist models on publish; warm-start from D
-//   --replicas N         inference replicas per snapshot (default 2)
-//   --history N          per-workload history cap (default 4096)
+//   --history N          per-workload history cap, >= 16 (default 4096)
 //   --threads N          resize the shared thread pool
 //   --no-retrain         disable drift-triggered background retraining
 //   --interval M         CSV trace interval minutes (default 30)

@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/metrics.hpp"
 
 namespace ld::core {
+
+namespace {
+nn::LstmNetworkConfig network_config(const Hyperparameters& hp, double dropout) {
+  return {.input_size = 1,
+          .hidden_size = hp.cell_size,
+          .num_layers = hp.num_layers,
+          .cell = hp.cell,
+          .activation = hp.activation,
+          .dropout = dropout};
+}
+
+/// The immutable, packed inference network for `weights`. Built fresh, so
+/// none of the training-time forward caches come along, and without
+/// dropout, a training-only concern.
+std::shared_ptr<const nn::LstmNetwork> inference_network(const Hyperparameters& hp,
+                                                         std::span<const double> weights) {
+  auto network = std::make_shared<nn::LstmNetwork>(network_config(hp, 0.0), /*seed=*/0);
+  network->load_weights(weights);  // throws on size mismatch; packs the panels
+  return network;
+}
+}  // namespace
 
 TrainedModel::TrainedModel(std::span<const double> train, std::span<const double> validation,
                            const Hyperparameters& hp, const ModelTrainingConfig& config,
@@ -30,14 +52,7 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
   }
   const nn::SlidingWindowDataset train_ds(scaled_train, effective_window_);
 
-  network_ = std::make_shared<nn::LstmNetwork>(
-      nn::LstmNetworkConfig{.input_size = 1,
-                            .hidden_size = hp.cell_size,
-                            .num_layers = hp.num_layers,
-                            .cell = hp.cell,
-                            .activation = hp.activation,
-                            .dropout = hp.dropout},
-      seed);
+  nn::LstmNetwork network(network_config(hp, hp.dropout), seed);
 
   nn::TrainerConfig tc = config.trainer;
   tc.batch_size = std::max<std::size_t>(1, std::min(hp.batch_size, train_ds.size()));
@@ -54,10 +69,10 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
     const std::vector<double> scaled_ctx = scaler_.transform(context);
     const nn::SlidingWindowDataset val_ds(scaled_ctx, effective_window_);
 
-    train_result_ = nn::train(*network_, train_ds, &val_ds, tc, seed ^ 0x5eedULL);
+    train_result_ = nn::train(network, train_ds, &val_ds, tc, seed ^ 0x5eedULL);
 
     // Cross-validation MAPE in the original JAR scale.
-    const std::vector<double> scaled_preds = nn::predict_all(*network_, val_ds);
+    const std::vector<double> scaled_preds = nn::predict_all(network, val_ds);
     std::vector<double> preds = scaler_.inverse(scaled_preds);
     for (double& p : preds) p = std::max(0.0, p);
     // val_ds targets correspond to validation[ctx - effective_window_ ...]:
@@ -67,9 +82,9 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
                                validation.end());
     validation_mape_ = metrics::mape(actual, preds);
   } else {
-    train_result_ = nn::train(*network_, train_ds, nullptr, tc, seed ^ 0x5eedULL);
+    train_result_ = nn::train(network, train_ds, nullptr, tc, seed ^ 0x5eedULL);
     // Report in-sample MAPE so callers always get a comparable number.
-    const std::vector<double> scaled_preds = nn::predict_all(*network_, train_ds);
+    const std::vector<double> scaled_preds = nn::predict_all(network, train_ds);
     std::vector<double> preds = scaler_.inverse(scaled_preds);
     for (double& p : preds) p = std::max(0.0, p);
     std::vector<double> actual(train_ds.size());
@@ -77,6 +92,7 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
       actual[i] = scaler_.inverse(train_ds.target(i));
     validation_mape_ = metrics::mape(actual, preds);
   }
+  network_ = inference_network(hp_, network.save_weights());
 }
 
 ModelSnapshot TrainedModel::snapshot() const {
@@ -98,15 +114,7 @@ std::shared_ptr<TrainedModel> TrainedModel::restore(const ModelSnapshot& snap) {
   model->effective_window_ = snap.effective_window;
   model->scaler_ = nn::MinMaxScaler::from_bounds(snap.scaler_min, snap.scaler_max);
   model->validation_mape_ = snap.validation_mape;
-  model->network_ = std::make_shared<nn::LstmNetwork>(
-      nn::LstmNetworkConfig{.input_size = 1,
-                            .hidden_size = snap.hyperparameters.cell_size,
-                            .num_layers = snap.hyperparameters.num_layers,
-                            .cell = snap.hyperparameters.cell,
-                            .activation = snap.hyperparameters.activation,
-                            .dropout = 0.0},  // dropout is a training-only concern
-      /*seed=*/0);
-  model->network_->load_weights(snap.weights);  // throws on size mismatch
+  model->network_ = inference_network(snap.hyperparameters, snap.weights);
   return model;
 }
 
@@ -127,10 +135,12 @@ void TrainedModel::roll_forecast(std::span<const double> history, std::span<doub
   // The fused single-window step is the inference path on every GEMM tier
   // (DESIGN.md §12). Only a thread pinned to the reference kernels takes the
   // layered forward: that is the oracle LD_VERIFY_DIFF and the differential
-  // tests compare the fused path against.
-  const bool layered = tensor::kernel_mode() == tensor::KernelMode::kReference;
+  // tests compare the fused path against. forward() fills backward caches,
+  // so the oracle runs on a call-local copy of the shared network.
+  std::optional<nn::LstmNetwork> oracle;
+  if (tensor::kernel_mode() == tensor::KernelMode::kReference) oracle.emplace(*network_);
   for (double& forecast : out) {
-    const double y = layered ? network_->forward(window)[0] : network_->forward_one(values);
+    const double y = oracle ? oracle->forward(window)[0] : network_->forward_one(values);
     forecast = std::max(0.0, scaler_.inverse(y));
     // Recursive multi-step: the forecast becomes the newest window value.
     std::shift_left(values.begin(), values.end(), 1);
@@ -169,7 +179,9 @@ std::vector<double> TrainedModel::predict_series(std::span<const double> series,
       x(r, j) = scaler_.transform(v);
     }
   }
-  const std::vector<double> scaled = network_->forward(x);
+  // forward() fills backward caches: run it on a call-local copy.
+  nn::LstmNetwork network = *network_;
+  const std::vector<double> scaled = network.forward(x);
   std::vector<double> out(count);
   for (std::size_t r = 0; r < count; ++r) out[r] = std::max(0.0, scaler_.inverse(scaled[r]));
   return out;

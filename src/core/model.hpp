@@ -48,7 +48,9 @@ class TrainedModel final : public ts::Predictor {
   [[nodiscard]] const nn::TrainResult& training_result() const noexcept { return train_result_; }
 
   // ts::Predictor interface. The model is fixed after construction (the
-  // paper's offline protocol); fit() is a no-op.
+  // paper's offline protocol); fit() is a no-op. Every forecast is const and
+  // thread-safe: any number of threads may call predict_* on one model and
+  // on its copies, which share one immutable network.
   void fit(std::span<const double>) override {}
   [[nodiscard]] double predict_next(std::span<const double> history) const override;
   [[nodiscard]] std::string name() const override { return "loaddynamics_lstm"; }
@@ -79,9 +81,7 @@ class TrainedModel final : public ts::Predictor {
 
   Hyperparameters hp_;
   nn::MinMaxScaler scaler_;
-  // The network's forward pass mutates internal caches; predictions are
-  // logically const, so the network sits behind a mutable pointer.
-  mutable std::shared_ptr<nn::LstmNetwork> network_;
+  std::shared_ptr<const nn::LstmNetwork> network_;  ///< packed; shared by copies
   nn::TrainResult train_result_;
   double validation_mape_ = 0.0;
   std::size_t effective_window_ = 0;  ///< history length after data clamping

@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
-
-#include "nn/packed_weights.hpp"
 
 namespace ld::nn {
 
@@ -241,64 +238,52 @@ void GruLayer::zero_grad() noexcept {
 std::vector<std::span<double>> GruLayer::parameters() {
   // Single invalidation point for the packed fused-step panels — every weight
   // mutation path (optimizer steps, load_weights) writes through these views.
-  packed_dirty_ = true;
+  packed_.current = false;
   return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
 }
 
-void GruLayer::ensure_packed() const {
-  if (!packed_dirty_) return;
-  pack_transposed(w_, wt_);
-  pack_transposed(u_, ut_);
-  quantize_rows_transposed(w_, wtq_);
-  quantize_rows_transposed(u_, utq_);
-  bq_.assign(b_.begin(), b_.end());
-  packed_dirty_ = false;
+std::vector<std::span<const double>> GruLayer::parameters() const {
+  return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
 }
+
+void GruLayer::pack() { packed_.build(w_, u_, b_); }
 
 template <typename T>
 void GruLayer::step_fused(const T* x, T* h, T* /*c*/, T* scratch) const {
-  ensure_packed();
-  constexpr bool kQuant = std::is_same_v<T, float>;
+  if (!packed_.current)
+    throw std::logic_error("GruLayer::step_fused: weights changed since the last pack()");
   const std::size_t H = hidden_size_;
   const std::size_t h3 = 3 * H;
-  const auto* wt = [&] {
-    if constexpr (kQuant) return wtq_.data();
-    else return wt_.data();
-  }();
-  const auto* ut = [&] {
-    if constexpr (kQuant) return utq_.data();
-    else return ut_.data();
-  }();
+  const T* wt = packed_.input<T>();
+  const T* ut = packed_.recurrent<T>();
+  const T* b = packed_.bias<T>();
   T* pre = scratch;       // [z, r, g] pre-activations
   T* rh = scratch + h3;   // r ⊙ h_{t-1}
   for (std::size_t j = 0; j < h3; ++j) pre[j] = T(0);
   for (std::size_t i = 0; i < input_size_; ++i) {
     const T xv = x[i];
-    const auto* row = wt + i * h3;
-    for (std::size_t j = 0; j < h3; ++j) pre[j] += xv * static_cast<T>(row[j]);
+    const T* row = wt + i * h3;
+    for (std::size_t j = 0; j < h3; ++j) pre[j] += xv * row[j];
   }
   // z and r take U h_{t-1}; the g block takes U (r ⊙ h), added once r is
   // known — same two-phase structure as the batched forward.
   for (std::size_t k = 0; k < H; ++k) {
     const T hv = h[k];
-    const auto* row = ut + k * h3;
-    for (std::size_t j = 0; j < 2 * H; ++j) pre[j] += hv * static_cast<T>(row[j]);
+    const T* row = ut + k * h3;
+    for (std::size_t j = 0; j < 2 * H; ++j) pre[j] += hv * row[j];
   }
   for (std::size_t j = 0; j < H; ++j) {
-    const T bz = kQuant ? static_cast<T>(bq_[j]) : static_cast<T>(b_[j]);
-    const T br = kQuant ? static_cast<T>(bq_[H + j]) : static_cast<T>(b_[H + j]);
-    pre[j] = sigmoid(pre[j] + bz);                     // z (kept for the blend)
-    const T rv = sigmoid(pre[H + j] + br);             // r
+    pre[j] = sigmoid(pre[j] + b[j]);                   // z (kept for the blend)
+    const T rv = sigmoid(pre[H + j] + b[H + j]);       // r
     rh[j] = rv * h[j];
   }
   for (std::size_t k = 0; k < H; ++k) {
     const T rhv = rh[k];
-    const auto* row = ut + k * h3 + 2 * H;
-    for (std::size_t j = 0; j < H; ++j) pre[2 * H + j] += rhv * static_cast<T>(row[j]);
+    const T* row = ut + k * h3 + 2 * H;
+    for (std::size_t j = 0; j < H; ++j) pre[2 * H + j] += rhv * row[j];
   }
   for (std::size_t j = 0; j < H; ++j) {
-    const T bg = kQuant ? static_cast<T>(bq_[2 * H + j]) : static_cast<T>(b_[2 * H + j]);
-    const T gv = activate(activation_, pre[2 * H + j] + bg);
+    const T gv = activate(activation_, pre[2 * H + j] + b[2 * H + j]);
     const T zv = pre[j];
     h[j] = (T(1) - zv) * h[j] + zv * gv;
   }

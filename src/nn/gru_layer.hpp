@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "nn/packed_weights.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ld::nn {
@@ -29,20 +30,25 @@ class GruLayer {
   [[nodiscard]] std::vector<tensor::Matrix> backward(const std::vector<tensor::Matrix>& dh_out);
 
   void zero_grad() noexcept;
+  /// Same contract as LstmLayer: writable views mark the packed panels stale.
   [[nodiscard]] std::vector<std::span<double>> parameters();
+  [[nodiscard]] std::vector<std::span<const double>> parameters() const;
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
 
+  /// Rebuild the fused-step panels from the current weights (see
+  /// LstmLayer::pack).
+  void pack();
+
   /// Fused single-sample inference step — same contract as
-  /// LstmLayer::step_fused. GRU has no cell state, so `c` is ignored (kept
-  /// for a uniform call shape); `scratch` must hold >= 4*hidden_size
-  /// elements (3H gate pre-activations + H for r ⊙ h).
+  /// LstmLayer::step_fused, including thread safety and the stale-panel
+  /// check. GRU has no cell state, so `c` is ignored (kept for a uniform
+  /// call shape); `scratch` must hold >= 4*hidden_size elements (3H gate
+  /// pre-activations + H for r ⊙ h).
   template <typename T>
   void step_fused(const T* x, T* h, T* c, T* scratch) const;
 
  private:
-  void ensure_packed() const;
-
   std::size_t input_size_, hidden_size_;
   Activation activation_;
   tensor::Matrix w_;       // (3H x I)
@@ -59,11 +65,7 @@ class GruLayer {
   std::size_t cached_batch_ = 0;
   std::size_t cached_steps_ = 0;
 
-  // Lazily packed weights for step_fused (see nn/packed_weights.hpp).
-  mutable bool packed_dirty_ = true;
-  mutable std::vector<double> wt_, ut_;    // transposed (I x 3H), (H x 3H)
-  mutable std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
-  mutable std::vector<float> bq_;
+  PackedPanels packed_;  // step_fused weights (see nn/packed_weights.hpp)
 };
 
 }  // namespace ld::nn

@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
-
-#include "nn/packed_weights.hpp"
 
 namespace ld::nn {
 
@@ -164,55 +161,42 @@ std::vector<std::span<double>> LstmLayer::parameters() {
   // Every weight mutation path (optimizer steps, load_weights) writes through
   // these views, so handing them out is the single invalidation point for the
   // packed fused-step panels.
-  packed_dirty_ = true;
+  packed_.current = false;
   return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
 }
 
-void LstmLayer::ensure_packed() const {
-  if (!packed_dirty_) return;
-  pack_transposed(w_, wt_);
-  pack_transposed(u_, ut_);
-  quantize_rows_transposed(w_, wtq_);
-  quantize_rows_transposed(u_, utq_);
-  bq_.assign(b_.begin(), b_.end());
-  packed_dirty_ = false;
+std::vector<std::span<const double>> LstmLayer::parameters() const {
+  return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
 }
+
+void LstmLayer::pack() { packed_.build(w_, u_, b_); }
 
 template <typename T>
 void LstmLayer::step_fused(const T* x, T* h, T* c, T* scratch) const {
-  ensure_packed();
-  constexpr bool kQuant = std::is_same_v<T, float>;
+  if (!packed_.current)
+    throw std::logic_error("LstmLayer::step_fused: weights changed since the last pack()");
   const std::size_t H = hidden_size_;
   const std::size_t h4 = 4 * H;
-  const auto* wt = [&] {
-    if constexpr (kQuant) return wtq_.data();
-    else return wt_.data();
-  }();
-  const auto* ut = [&] {
-    if constexpr (kQuant) return utq_.data();
-    else return ut_.data();
-  }();
+  const T* wt = packed_.input<T>();
+  const T* ut = packed_.recurrent<T>();
+  const T* b = packed_.bias<T>();
   T* pre = scratch;
   for (std::size_t j = 0; j < h4; ++j) pre[j] = T(0);
   for (std::size_t i = 0; i < input_size_; ++i) {
     const T xv = x[i];
-    const auto* row = wt + i * h4;
-    for (std::size_t j = 0; j < h4; ++j) pre[j] += xv * static_cast<T>(row[j]);
+    const T* row = wt + i * h4;
+    for (std::size_t j = 0; j < h4; ++j) pre[j] += xv * row[j];
   }
   for (std::size_t k = 0; k < H; ++k) {
     const T hv = h[k];
-    const auto* row = ut + k * h4;
-    for (std::size_t j = 0; j < h4; ++j) pre[j] += hv * static_cast<T>(row[j]);
+    const T* row = ut + k * h4;
+    for (std::size_t j = 0; j < h4; ++j) pre[j] += hv * row[j];
   }
   for (std::size_t j = 0; j < H; ++j) {
-    const T bi = kQuant ? static_cast<T>(bq_[j]) : static_cast<T>(b_[j]);
-    const T bf = kQuant ? static_cast<T>(bq_[H + j]) : static_cast<T>(b_[H + j]);
-    const T bg = kQuant ? static_cast<T>(bq_[2 * H + j]) : static_cast<T>(b_[2 * H + j]);
-    const T bo = kQuant ? static_cast<T>(bq_[3 * H + j]) : static_cast<T>(b_[3 * H + j]);
-    const T iv = sigmoid(pre[j] + bi);
-    const T fv = sigmoid(pre[H + j] + bf);
-    const T gv = activate(activation_, pre[2 * H + j] + bg);
-    const T ov = sigmoid(pre[3 * H + j] + bo);
+    const T iv = sigmoid(pre[j] + b[j]);
+    const T fv = sigmoid(pre[H + j] + b[H + j]);
+    const T gv = activate(activation_, pre[2 * H + j] + b[2 * H + j]);
+    const T ov = sigmoid(pre[3 * H + j] + b[3 * H + j]);
     const T cv = fv * c[j] + iv * gv;
     c[j] = cv;
     h[j] = ov * activate(activation_, cv);

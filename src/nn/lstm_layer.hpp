@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "nn/packed_weights.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ld::nn {
@@ -47,27 +48,32 @@ class LstmLayer {
   void zero_grad() noexcept;
 
   /// Flat views over parameters and their gradients (W, U, b concatenated),
-  /// consumed by the optimizer.
+  /// consumed by the optimizer. Handing out writable views marks the packed
+  /// panels stale until the next pack().
   [[nodiscard]] std::vector<std::span<double>> parameters();
+  [[nodiscard]] std::vector<std::span<const double>> parameters() const;
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
 
+  /// Rebuild the transposed and int8 panels step_fused reads from the
+  /// current weights. Required after any weight change made through
+  /// parameters(); LstmNetwork calls it on construction and load_weights().
+  void pack();
+
   /// Fused single-sample inference step (DESIGN.md §12): advances the
   /// recurrent state one timestep — all four gate GEMVs, biases and
-  /// activations in one pass over lazily packed transposed weights, with no
+  /// activations in one pass over the packed transposed weights, with no
   /// Matrix temporaries. `x` has input_size elements; `h` and `c` hold the
   /// hidden/cell state (hidden_size each) and are updated in place;
   /// `scratch` must hold >= 4*hidden_size elements. T=double computes on the
   /// exact weights; T=float on the int8 row-quantized weights (LD_QUANT).
-  /// The packed panels are a cache of w_/u_/b_, invalidated whenever
-  /// parameters() hands out mutable views; like the forward caches, a layer
-  /// must be driven by one inference thread at a time.
+  /// Reads only the packed panels, so any number of threads may step one
+  /// layer at once, each with its own state and scratch. Throws
+  /// std::logic_error if the panels are stale (see pack()).
   template <typename T>
   void step_fused(const T* x, T* h, T* c, T* scratch) const;
 
  private:
-  void ensure_packed() const;
-
   std::size_t input_size_, hidden_size_;
   Activation activation_ = Activation::kTanh;
   tensor::Matrix w_;          // (4H x I) input weights
@@ -84,11 +90,7 @@ class LstmLayer {
   std::size_t cached_batch_ = 0;
   std::size_t cached_steps_ = 0;
 
-  // Lazily packed weights for step_fused (see nn/packed_weights.hpp).
-  mutable bool packed_dirty_ = true;
-  mutable std::vector<double> wt_, ut_;    // transposed (I x 4H), (H x 4H)
-  mutable std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
-  mutable std::vector<float> bq_;          // bias in float for the quant path
+  PackedPanels packed_;  // step_fused weights (see nn/packed_weights.hpp)
 };
 
 }  // namespace ld::nn

@@ -67,7 +67,9 @@ LstmNetwork::LstmNetwork(LstmNetworkConfig config, std::uint64_t seed)
         }
         dropout_rng_ = rng.split();
         return DenseLayer(config_.hidden_size, config_.output_size, rng);
-      }()) {}
+      }()) {
+  pack();
+}
 
 std::vector<double> LstmNetwork::forward(const tensor::Matrix& x) {
   if (config_.input_size != 1 || config_.output_size != 1)
@@ -87,21 +89,22 @@ std::vector<double> LstmNetwork::forward(const tensor::Matrix& x) {
   return out;
 }
 
-double LstmNetwork::forward_one(std::span<const double> window) {
+double LstmNetwork::forward_one(std::span<const double> window) const {
   LD_TRACE_SPAN("nn.forward_one");
   if (config_.input_size != 1 || config_.output_size != 1)
     throw std::logic_error("LstmNetwork::forward_one: requires 1-in/1-out");
   if (window.empty())
     throw std::invalid_argument("LstmNetwork::forward_one: empty window");
   if (quantized_inference_enabled())
-    return forward_one_impl<float>(window, fused_hf_, fused_cf_, fused_sf_);
-  return forward_one_impl<double>(window, fused_hd_, fused_cd_, fused_sd_);
+    return forward_one_impl<float>(window);
+  return forward_one_impl<double>(window);
 }
 
 template <typename T>
-double LstmNetwork::forward_one_impl(std::span<const double> window,
-                                     std::vector<T>& hbuf, std::vector<T>& cbuf,
-                                     std::vector<T>& scratch) {
+double LstmNetwork::forward_one_impl(std::span<const double> window) const {
+  // The only writable state is this thread's: one network serves every
+  // thread, each rolling its own hidden/cell state through the shared panels.
+  thread_local std::vector<T> hbuf, cbuf, scratch;
   const std::size_t H = config_.hidden_size;
   const std::size_t num_layers = layers_.size();
   hbuf.assign(num_layers * H, T(0));
@@ -116,7 +119,7 @@ double LstmNetwork::forward_one_impl(std::span<const double> window,
       T* h = hbuf.data() + li * H;
       T* c = cbuf.data() + li * H;
       std::visit(
-          [&](auto& layer) { layer.template step_fused<T>(xin, h, c, scratch.data()); },
+          [&](const auto& layer) { layer.template step_fused<T>(xin, h, c, scratch.data()); },
           layers_[li]);
       xin = h;
     }
@@ -224,6 +227,16 @@ std::vector<std::span<double>> LstmNetwork::parameters() {
   return out;
 }
 
+std::vector<std::span<const double>> LstmNetwork::parameters() const {
+  std::vector<std::span<const double>> out;
+  for (const RecurrentLayer& layer : layers_)
+    for (auto s : std::visit([](const auto& l) { return l.parameters(); }, layer))
+      out.push_back(s);
+  out.push_back(head_.weights().flat());
+  out.push_back(head_.bias());
+  return out;
+}
+
 std::vector<std::span<double>> LstmNetwork::gradients() {
   std::vector<std::span<double>> out;
   for (RecurrentLayer& layer : layers_)
@@ -240,7 +253,11 @@ std::size_t LstmNetwork::parameter_count() const noexcept {
   return n;
 }
 
-std::vector<double> LstmNetwork::save_weights() {
+void LstmNetwork::pack() {
+  for (RecurrentLayer& layer : layers_) std::visit([](auto& l) { l.pack(); }, layer);
+}
+
+std::vector<double> LstmNetwork::save_weights() const {
   std::vector<double> snapshot;
   snapshot.reserve(parameter_count());
   for (auto s : parameters()) snapshot.insert(snapshot.end(), s.begin(), s.end());
@@ -254,6 +271,7 @@ void LstmNetwork::load_weights(std::span<const double> weights) {
   for (auto s : parameters()) {
     for (double& v : s) v = weights[off++];
   }
+  pack();
 }
 
 }  // namespace ld::nn

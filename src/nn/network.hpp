@@ -50,12 +50,16 @@ class LstmNetwork {
   /// timestep at a time via step_fused — no Matrix temporaries, no per-step
   /// GEMM dispatch — then applies the dense head as a dot product. Honors
   /// quantized_inference_enabled() by running the recurrent stack in float
-  /// over int8 row-quantized weights (the head stays fp64). Does NOT
-  /// populate backward caches — callers that need backward() must use
-  /// forward(). Never calls the GEMM, so it behaves the same on every kernel
-  /// tier: TrainedModel's single-window forecasts run here unless the thread
-  /// pinned KernelMode::kReference. Requires 1-in/1-out.
-  [[nodiscard]] double forward_one(std::span<const double> window);
+  /// over int8 row-quantized weights (the head stays fp64). Never calls the
+  /// GEMM, so it behaves the same on every kernel tier: TrainedModel's
+  /// single-window forecasts run here unless the thread pinned
+  /// KernelMode::kReference. Requires 1-in/1-out.
+  ///
+  /// Truly const: the recurrent state and scratch are thread-local, and the
+  /// network is only read, so any number of threads may forecast through one
+  /// instance concurrently. Throws std::logic_error if parameters() handed
+  /// out writable views since the last pack().
+  [[nodiscard]] double forward_one(std::span<const double> window) const;
 
   /// General form: `sequence[t]` is a (B x input_size) feature matrix —
   /// supports exogenous features (multivariate forecasting) and multi-step
@@ -71,14 +75,22 @@ class LstmNetwork {
 
   void zero_grad() noexcept;
 
-  /// Register all layer parameters with an optimizer.
+  /// Register all layer parameters with an optimizer. Handing out writable
+  /// views marks the fused-step panels stale until the next pack().
   [[nodiscard]] std::vector<std::span<double>> parameters();
+  [[nodiscard]] std::vector<std::span<const double>> parameters() const;
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
 
+  /// Rebuild every layer's fused-step panels from the current weights. The
+  /// constructor and load_weights() call it; anything else that changes
+  /// weights through parameters() (the optimizer) must call it before the
+  /// next forward_one().
+  void pack();
+
   /// Snapshot/restore all weights (used by the trainer to keep the best
-  /// validation model).
-  [[nodiscard]] std::vector<double> save_weights();
+  /// validation model). load_weights() packs.
+  [[nodiscard]] std::vector<double> save_weights() const;
   void load_weights(std::span<const double> weights);
 
   /// Training mode enables inter-layer dropout; inference mode (default)
@@ -90,8 +102,7 @@ class LstmNetwork {
   using RecurrentLayer = std::variant<LstmLayer, GruLayer>;
 
   template <typename T>
-  double forward_one_impl(std::span<const double> window, std::vector<T>& hbuf,
-                          std::vector<T>& cbuf, std::vector<T>& scratch);
+  double forward_one_impl(std::span<const double> window) const;
 
   LstmNetworkConfig config_;
   std::vector<RecurrentLayer> layers_;
@@ -104,9 +115,6 @@ class LstmNetwork {
   // One mask per non-final layer, shared across timesteps (variational
   // dropout style), shape (B x H); empty when dropout is inactive.
   std::vector<tensor::Matrix> dropout_masks_;
-  // Reused state/scratch buffers for forward_one (per precision).
-  std::vector<double> fused_hd_, fused_cd_, fused_sd_;
-  std::vector<float> fused_hf_, fused_cf_, fused_sf_;
 };
 
 /// Process-wide toggle for int8 row-quantized fused inference. Resolved from

@@ -1,8 +1,8 @@
 // Weight packing for the fused single-timestep inference step
 // (DESIGN.md §12). The recurrent layers store gate weights row-major as
 // (G*H x In); the fused step walks them input-major, so both cell layers
-// lazily repack into transposed (In x G*H) panels — one contiguous row per
-// input element, turning every gate GEMV into an axpy over a contiguous row.
+// pack transposed (In x G*H) panels — one contiguous row per input element,
+// turning every gate GEMV into an axpy over a contiguous row.
 //
 // The quantized variant first snaps each *gate row* (length In) to int8 with
 // its own scale s_j = max_i |w(j,i)| / 127, then materializes the dequantized
@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -43,5 +44,43 @@ inline void quantize_rows_transposed(const tensor::Matrix& w, std::vector<float>
     }
   }
 }
+
+/// One recurrent layer's fused-step panels in both precisions: built by the
+/// layer's pack() from its input weights W, recurrent weights U and bias b,
+/// read-only afterwards. `current` is cleared whenever the layer hands out
+/// writable parameter views, so a stale panel is refused, never used.
+struct PackedPanels {
+  std::vector<double> wt, ut, b;    // transposed W and U, bias (fp64)
+  std::vector<float> wtq, utq, bq;  // int8 row-quantized, dequantized; float bias
+  bool current = false;
+
+  void build(const tensor::Matrix& w, const tensor::Matrix& u, const std::vector<double>& bias) {
+    pack_transposed(w, wt);
+    pack_transposed(u, ut);
+    b = bias;
+    quantize_rows_transposed(w, wtq);
+    quantize_rows_transposed(u, utq);
+    bq.assign(bias.begin(), bias.end());
+    current = true;
+  }
+
+  /// The T = double panels compute on the exact weights, T = float on the
+  /// int8 row-quantized ones (LD_QUANT).
+  template <typename T>
+  [[nodiscard]] const T* input() const noexcept {
+    if constexpr (std::is_same_v<T, float>) return wtq.data();
+    else return wt.data();
+  }
+  template <typename T>
+  [[nodiscard]] const T* recurrent() const noexcept {
+    if constexpr (std::is_same_v<T, float>) return utq.data();
+    else return ut.data();
+  }
+  template <typename T>
+  [[nodiscard]] const T* bias() const noexcept {
+    if constexpr (std::is_same_v<T, float>) return bq.data();
+    else return b.data();
+  }
+};
 
 }  // namespace ld::nn

@@ -13,14 +13,6 @@
 
 namespace ld::serving {
 
-namespace {
-obs::Counter& drop_errors_counter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::global().counter("ld_registry_drop_errors_total");
-  return counter;
-}
-}  // namespace
-
 std::size_t workload_shard(std::string_view name, std::size_t shards) noexcept {
   if (shards <= 1) return 0;
   // 64-bit FNV-1a: stable across processes/platforms, unlike std::hash.
@@ -37,67 +29,6 @@ std::size_t default_shards() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : std::min<std::size_t>(hw, 256);
-}
-
-std::function<void()> PublishedModel::destroy_hook_for_test;
-
-PublishedModel::PublishedModel(const core::TrainedModel& model, std::uint64_t version,
-                               std::size_t replicas)
-    : snapshot_(std::make_shared<const core::ModelSnapshot>(model.snapshot())),
-      version_(version) {
-  replicas = std::max<std::size_t>(1, replicas);
-  replicas_.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    auto replica = std::make_unique<Replica>();
-    replica->model = core::TrainedModel::restore(*snapshot_);
-    replicas_.push_back(std::move(replica));
-  }
-}
-
-PublishedModel::~PublishedModel() noexcept(false) {
-  if (destroy_hook_for_test) destroy_hook_for_test();
-}
-
-std::shared_ptr<const PublishedModel> PublishedModel::make(const core::TrainedModel& model,
-                                                           std::uint64_t version,
-                                                           std::size_t replicas) {
-  return std::shared_ptr<const PublishedModel>(
-      new PublishedModel(model, version, replicas), [](const PublishedModel* p) {
-        try {
-          delete p;
-        } catch (const std::exception& e) {
-          drop_errors_counter().inc();
-          log::warn("registry: model v-drop destructor threw (swallowed): ", e.what());
-        } catch (...) {
-          drop_errors_counter().inc();
-          log::warn("registry: model v-drop destructor threw (swallowed): unknown");
-        }
-      });
-}
-
-template <typename F>
-auto PublishedModel::with_replica(F&& fn) const {
-  const std::size_t n = replicas_.size();
-  const std::size_t start = next_.fetch_add(1, std::memory_order_relaxed) % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    Replica& replica = *replicas_[(start + k) % n];
-    std::unique_lock lock(replica.mu, std::try_to_lock);
-    if (lock.owns_lock()) return fn(*replica.model);
-  }
-  // Every replica busy: wait for the round-robin pick.
-  Replica& replica = *replicas_[start];
-  std::scoped_lock lock(replica.mu);
-  return fn(*replica.model);
-}
-
-double PublishedModel::predict_next(std::span<const double> history) const {
-  return with_replica([&](const core::TrainedModel& m) { return m.predict_next(history); });
-}
-
-std::vector<double> PublishedModel::predict_horizon(std::span<const double> history,
-                                                    std::size_t steps) const {
-  return with_replica(
-      [&](const core::TrainedModel& m) { return m.predict_horizon(history, steps); });
 }
 
 ModelRegistry::ModelRegistry(std::size_t shards) {
@@ -134,8 +65,7 @@ void ModelRegistry::publish(const std::string& name,
   }
   // The displaced map version (and, when no reader still holds it, the
   // replaced model version inside it) is dropped here, outside the shard's
-  // write_mu; models built via make() guard a throwing destructor in their
-  // deleter, so a bad teardown costs a counter bump, not the process.
+  // write_mu.
   old.reset();
 }
 

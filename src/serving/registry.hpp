@@ -1,10 +1,11 @@
 // Lock-free model registry: the read side of the serving layer.
 //
-// A PublishedModel is an immutable, fully self-contained model version —
-// a ModelSnapshot plus a small pool of independently restored inference
-// replicas (LstmNetwork::forward mutates its activation caches, so each
-// concurrent prediction needs its own network instance; every replica is
-// restored from the same snapshot and therefore bit-identical).
+// A PublishedModel is one immutable model version: a TrainedModel plus its
+// version number. A TrainedModel's forecasts are const and thread-safe (the
+// fused step keeps its state in thread-local buffers and only reads the
+// packed weights), so one instance serves every concurrent prediction, and
+// the copy a PublishedModel takes shares its source's network: tenants
+// published from one TrainedModel share one set of weights.
 //
 // The ModelRegistry maps workload names to their current PublishedModel with
 // RCU semantics, sharded so a fleet of independent tenants never contends on
@@ -25,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -55,57 +55,37 @@ namespace ld::serving {
 /// One immutable published model version.
 class PublishedModel {
  public:
-  /// Snapshot `model` and restore `replicas` independent inference copies
-  /// (>= 1). The source model is not retained.
-  PublishedModel(const core::TrainedModel& model, std::uint64_t version,
-                 std::size_t replicas);
+  /// Copy `model`; the copy shares the source's immutable network, so the
+  /// source may be destroyed at any time.
+  PublishedModel(const core::TrainedModel& model, std::uint64_t version)
+      : model_(std::make_shared<const core::TrainedModel>(model)), version_(version) {}
 
-  /// Destruction runs arbitrary model/replica teardown; declared throwing so
-  /// the make() deleter guard below is meaningful (and testable).
-  ~PublishedModel() noexcept(false);
-
-  PublishedModel(const PublishedModel&) = delete;
-  PublishedModel& operator=(const PublishedModel&) = delete;
-
-  /// Preferred factory: the returned shared_ptr carries a deleter that
-  /// swallows (logs + counts in ld_registry_drop_errors_total) anything the
-  /// destructor throws. Without it, a throwing teardown of a replica dropped
-  /// mid-swap would propagate through shared_ptr::reset() / the registry
-  /// map's noexcept destructor and terminate the process.
   [[nodiscard]] static std::shared_ptr<const PublishedModel> make(
-      const core::TrainedModel& model, std::uint64_t version, std::size_t replicas);
-
-  /// Test-only: invoked at the top of the destructor when set, so fault
-  /// tests can simulate a throwing teardown. Not used in production.
-  static std::function<void()> destroy_hook_for_test;
-
-  /// Forecast through an idle replica (round-robin + try_lock, falling back
-  /// to a blocking lock when every replica is busy). Safe to call from any
-  /// number of threads; no lock held here is ever held by a retrain.
-  [[nodiscard]] double predict_next(std::span<const double> history) const;
-  [[nodiscard]] std::vector<double> predict_horizon(std::span<const double> history,
-                                                    std::size_t steps) const;
-
-  [[nodiscard]] const core::Hyperparameters& hyperparameters() const noexcept {
-    return snapshot_->hyperparameters;
+      const core::TrainedModel& model, std::uint64_t version) {
+    return std::make_shared<const PublishedModel>(model, version);
   }
-  [[nodiscard]] double validation_mape() const noexcept { return snapshot_->validation_mape; }
+
+  /// Safe to call from any number of threads at once.
+  [[nodiscard]] double predict_next(std::span<const double> history) const {
+    return model_->predict_next(history);
+  }
+  [[nodiscard]] std::vector<double> predict_horizon(std::span<const double> history,
+                                                    std::size_t steps) const {
+    return model_->predict_horizon(history, steps);
+  }
+
+  [[nodiscard]] const core::TrainedModel& model() const noexcept { return *model_; }
+  [[nodiscard]] const core::Hyperparameters& hyperparameters() const noexcept {
+    return model_->hyperparameters();
+  }
+  [[nodiscard]] double validation_mape() const noexcept { return model_->validation_mape(); }
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-  [[nodiscard]] std::size_t replica_count() const noexcept { return replicas_.size(); }
-  [[nodiscard]] const core::ModelSnapshot& snapshot() const noexcept { return *snapshot_; }
+  /// Computed on demand: copies the weights out of the network.
+  [[nodiscard]] core::ModelSnapshot snapshot() const { return model_->snapshot(); }
 
  private:
-  struct Replica {
-    std::shared_ptr<core::TrainedModel> model;
-    std::mutex mu;  ///< guards the replica's mutable network caches
-  };
-  template <typename F>
-  auto with_replica(F&& fn) const;
-
-  std::shared_ptr<const core::ModelSnapshot> snapshot_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
+  std::shared_ptr<const core::TrainedModel> model_;
   std::uint64_t version_ = 0;
-  mutable std::atomic<std::size_t> next_{0};  ///< round-robin replica cursor
 };
 
 /// Sharded persistent-map name -> PublishedModel registry. Reads are

@@ -258,7 +258,7 @@ void PredictionService::publish_model(const std::string& name,
     std::scoped_lock lock(w.mu);
     version = ++w.version;
   }
-  auto published = PublishedModel::make(model, version, config_.replicas);
+  auto published = PublishedModel::make(model, version);
   const std::shared_ptr<const PublishedModel> previous = registry_.current(name);
   registry_.publish(name, published);
   if (previous) {
@@ -754,8 +754,7 @@ void PredictionService::save_workload(const std::string& name,
                                       const std::string& path) const {
   const std::shared_ptr<const PublishedModel> model = registry_.current(name);
   if (!model) throw std::runtime_error("serving: no model published for '" + name + "'");
-  // Round-trip through restore(): snapshots are lossless (hex-float format).
-  core::save_model_file(*core::TrainedModel::restore(model->snapshot()), path);
+  core::save_model_file(model->model(), path);
 }
 
 // --- Durability (DESIGN.md §15) ----------------------------------------------

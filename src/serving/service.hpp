@@ -52,9 +52,9 @@ struct ServiceConfig {
   std::size_t shards = 0;
   /// Per-workload history cap (ring semantics: oldest samples are dropped).
   std::size_t max_history = 4096;
-  /// Inference replicas per published snapshot; same-workload predictions
-  /// beyond this run sequentially on a replica (cross-workload predictions
-  /// are always independent).
+  /// Unused: every prediction runs on the one shared, immutable model, so
+  /// there are no inference replicas to size. Kept only because
+  /// benchmark/src/workloads.cpp still assigns it; delete both together.
   std::size_t replicas = 2;
   /// Directory for model checkpoints; written on every publish, read by
   /// add_workload() for warm starts. Empty = no persistence.
@@ -168,9 +168,10 @@ class PredictionService {
   /// model tuned offline by `loaddynamics train`).
   void load_workload(const std::string& name, const std::string& path);
 
-  /// Publish `model` as the workload's current version: replicas are
-  /// restored, the registry pointer is atomically swapped, and a checkpoint
-  /// is written. In-flight predictions keep the previous snapshot.
+  /// Publish `model` as the workload's current version: the registry takes a
+  /// copy that shares the model's immutable weights, atomically swaps the
+  /// pointer, and writes a checkpoint. In-flight predictions keep the
+  /// previous version.
   void publish(const std::string& name, const core::TrainedModel& model);
 
   /// Ingest one actual observation (creates the workload on first use).

@@ -63,7 +63,6 @@ serving::ServiceConfig quick_service(bool background_retrain = false,
                                      std::size_t shards = 1) {
   serving::ServiceConfig cfg;
   cfg.shards = shards;
-  cfg.replicas = 2;
   cfg.background_retrain = background_retrain;
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.space.history_max = 16;
@@ -1027,7 +1026,7 @@ TEST(NetShardDeterminism, RegistryMergesShardsSorted) {
   const std::vector<std::string> names = {"zeta", "alpha", "mid", "wiki", "az-vm-2017"};
   std::uint64_t version = 1;
   for (const std::string& name : names)
-    registry.publish(name, serving::PublishedModel::make(*model, version++, 1));
+    registry.publish(name, serving::PublishedModel::make(*model, version++));
   std::vector<std::string> expected = names;
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(registry.names(), expected);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "nn/dataset.hpp"
@@ -94,6 +95,28 @@ TEST(Network, SaveLoadRoundTrip) {
   ld::Rng rng(4);
   for (double& v : x.flat()) v = rng.uniform();
   EXPECT_EQ(a.forward(x), b.forward(x));
+}
+
+TEST(Network, ForwardOneRefusesStalePanelsUntilPack) {
+  // forward_one reads panels packed from the weights; a change made through
+  // parameters() must be packed before the next forecast, never silently
+  // ignored.
+  for (const ld::nn::CellType cell : {ld::nn::CellType::kLstm, ld::nn::CellType::kGru}) {
+    LstmNetwork net({.input_size = 1, .hidden_size = 5, .num_layers = 2, .cell = cell}, 9);
+    const std::vector<double> window{0.2, 0.5, 0.9, 0.4, 0.1, 0.7};
+    const double before = net.forward_one(window);
+
+    net.parameters()[0][0] += 0.25;
+    EXPECT_THROW((void)net.forward_one(window), std::logic_error);
+
+    net.pack();
+    const double after = net.forward_one(window);
+    EXPECT_NE(after, before);
+    // The repacked panels match a network loaded with the same weights.
+    LstmNetwork fresh({.input_size = 1, .hidden_size = 5, .num_layers = 2, .cell = cell}, 1);
+    fresh.load_weights(net.save_weights());
+    EXPECT_EQ(after, fresh.forward_one(window));
+  }
 }
 
 TEST(Network, LoadRejectsWrongSize) {

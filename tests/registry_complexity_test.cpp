@@ -51,7 +51,7 @@ TEST(PublishComplexity, LastThousandPublishesNoWorseThanFirst) {
                                  training, 7);
   // One shared immutable version for every tenant: the loop then times pure
   // registry work (hash + spine copy + root swap), not model construction.
-  const auto published = serving::PublishedModel::make(model, 1, 1);
+  const auto published = serving::PublishedModel::make(model, 1);
 
   serving::ModelRegistry registry(1);  // one shard: occupancy grows 0 -> 10k
   const metrics::LatencyHistogram before =

@@ -310,7 +310,7 @@ TEST(RegistryConcurrency, ReadersNeverSeeATornSpine) {
   constexpr std::size_t kPerPublisher = 400;
   serving::ModelRegistry registry(1);  // one shard: all writers collide
   const auto model = quick_model();
-  const auto published = serving::PublishedModel::make(*model, 1, 1);
+  const auto published = serving::PublishedModel::make(*model, 1);
 
   std::atomic<bool> done{false};
   std::vector<std::string> all_names;
@@ -384,7 +384,7 @@ TEST(RegistryConcurrency, NamesStreamedDuringPublishesStaysSortedAndMonotone) {
   constexpr std::size_t kNames = 600;
   serving::ModelRegistry registry(4);
   const auto model = quick_model(9);
-  const auto published = serving::PublishedModel::make(*model, 1, 1);
+  const auto published = serving::PublishedModel::make(*model, 1);
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> scrape_failures{0};

@@ -49,7 +49,6 @@ std::shared_ptr<core::TrainedModel> quick_model(std::span<const double> series,
 /// Service config with cheap warm retrains so background work finishes fast.
 serving::ServiceConfig quick_service(bool background_retrain = false) {
   serving::ServiceConfig cfg;
-  cfg.replicas = 2;
   cfg.background_retrain = background_retrain;
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.space.history_max = 16;
@@ -73,13 +72,13 @@ TEST(ServingRegistry, InFlightSnapshotSurvivesPublish) {
   serving::ModelRegistry registry;
   EXPECT_EQ(registry.current("web"), nullptr);
 
-  registry.publish("web", std::make_shared<const serving::PublishedModel>(*model, 1, 2));
+  registry.publish("web", std::make_shared<const serving::PublishedModel>(*model, 1));
   const auto v1 = registry.current("web");
   ASSERT_NE(v1, nullptr);
   EXPECT_EQ(v1->version(), 1u);
   const double before = v1->predict_next(series);
 
-  registry.publish("web", std::make_shared<const serving::PublishedModel>(*model, 2, 2));
+  registry.publish("web", std::make_shared<const serving::PublishedModel>(*model, 2));
   const auto v2 = registry.current("web");
   EXPECT_EQ(v2->version(), 2u);
 
@@ -91,13 +90,13 @@ TEST(ServingRegistry, InFlightSnapshotSurvivesPublish) {
   EXPECT_EQ(registry.names(), std::vector<std::string>{"web"});
 }
 
-TEST(ServingRegistry, ReplicasAreBitIdenticalToSourceModel) {
+TEST(ServingRegistry, PublishedModelIsBitIdenticalToSourceModel) {
   const auto series = seasonal(240);
   const auto model = quick_model(series);
-  const serving::PublishedModel published(*model, 1, 3);
-  EXPECT_EQ(published.replica_count(), 3u);
+  const serving::PublishedModel published(*model, 1);
   EXPECT_EQ(published.validation_mape(), model->validation_mape());
   EXPECT_EQ(published.hyperparameters(), model->hyperparameters());
+  EXPECT_EQ(published.snapshot().weights, model->snapshot().weights);
 
   for (const std::size_t len : {40u, 100u, 240u}) {
     const std::span<const double> hist(series.data(), len);
@@ -107,6 +106,65 @@ TEST(ServingRegistry, ReplicasAreBitIdenticalToSourceModel) {
   const auto via = published.predict_horizon(series, 5);
   ASSERT_EQ(via.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(via[i], direct[i]);
+}
+
+TEST(ServingRegistry, PublishedModelOutlivesItsSourceModel) {
+  const auto series = seasonal(240);
+  auto model = quick_model(series);
+  const std::vector<double> want = model->predict_horizon(series, 6);
+  serving::ModelRegistry registry;
+  registry.publish("web", serving::PublishedModel::make(*model, 1));
+  const serving::PublishedModel direct(*model, 1);
+  model.reset();  // the published copies share the network, not the source
+
+  EXPECT_EQ(direct.predict_horizon(series, 6), want);
+  EXPECT_EQ(registry.current("web")->predict_horizon(series, 6), want);
+}
+
+// One model serves every thread: the fused forecast keeps its state in
+// thread-local buffers and only reads the shared packed weights. Checked on
+// the model itself, on a clone() (which shares the network), and on one
+// PublishedModel published under several names. The TSan CI job runs this.
+TEST(ServingConcurrency, ConcurrentForecastsAreBitIdenticalToSerial) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 60;
+  constexpr std::size_t kHorizon = 4;
+  const auto series = seasonal(240);
+  const auto model = quick_model(series);
+  const std::unique_ptr<ts::Predictor> clone = model->clone();
+  const auto& cloned = dynamic_cast<const core::TrainedModel&>(*clone);
+  serving::ModelRegistry registry(4);
+  const auto published = serving::PublishedModel::make(*model, 1);
+  const std::vector<std::string> names{"a", "b", "c", "d", "e"};
+  for (const std::string& name : names) registry.publish(name, published);
+
+  // Serial reference: one forecast per history length.
+  std::vector<std::vector<double>> want;
+  for (std::size_t len = 20; len <= series.size(); len += 20)
+    want.push_back(model->predict_horizon(std::span(series).first(len), kHorizon));
+
+  std::atomic<std::size_t> wrong{0}, total{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const std::span<const double> hist = std::span(series).first(20 * (i + 1));
+          const std::string& name = names[(t + round + i) % names.size()];
+          const std::vector<double> got[] = {
+              model->predict_horizon(hist, kHorizon), cloned.predict_horizon(hist, kHorizon),
+              registry.current(name)->predict_horizon(hist, kHorizon)};
+          for (const std::vector<double>& g : got) {
+            total.fetch_add(1, std::memory_order_relaxed);
+            if (g != want[i]) wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(total.load(), kThreads * kRounds * want.size() * 3);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << total.load() << " concurrent forecasts";
 }
 
 // Acceptance (a): predictions through the service are bit-identical to
@@ -129,6 +187,21 @@ TEST(Serving, PredictionsBitIdenticalToDirectModel) {
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_EQ(got[i], want[i]) << "service must add zero numeric drift (step " << i << ")";
   std::filesystem::remove(path);
+}
+
+TEST(Serving, TenantsPublishedFromOneModelForecastIdentically) {
+  const auto series = seasonal(240);
+  auto model = quick_model(series);
+  const std::vector<double> want = model->predict_horizon(series, 6);
+  serving::PredictionService service(quick_service());
+  service.publish("web", *model);
+  service.publish("api", *model);
+  model.reset();
+  service.observe_many("web", series);
+  service.observe_many("api", series);
+
+  EXPECT_EQ(service.predict("web", 6), want);
+  EXPECT_EQ(service.predict("api", 6), want);
 }
 
 TEST(Serving, ValidatesNamesHorizonsAndMissingModels) {
@@ -533,6 +606,25 @@ TEST(ServingApp, BadWorkloadSpecFailsCleanly) {
   std::ostringstream out, err;
   EXPECT_EQ(app::run_serve(2, argv, in, out, err), 2);
   EXPECT_NE(err.str().find("bad workload spec"), std::string::npos);
+}
+
+TEST(ServingApp, NegativeHistoryFailsCleanly) {
+  // A negative cap would wrap to SIZE_MAX and make every history unbounded.
+  const char* argv[] = {"ld_serve", "--history", "-1"};
+  std::istringstream in;
+  std::ostringstream out, err;
+  EXPECT_EQ(app::run_serve(3, argv, in, out, err), 2);
+  EXPECT_NE(err.str().find("--history must be >= 16"), std::string::npos) << err.str();
+}
+
+TEST(ServingApp, OutOfRangeShardsFailCleanly) {
+  for (const char* shards : {"-1", "257"}) {
+    const char* argv[] = {"ld_serve", "--shards", shards};
+    std::istringstream in;
+    std::ostringstream out, err;
+    EXPECT_EQ(app::run_serve(3, argv, in, out, err), 2) << shards;
+    EXPECT_NE(err.str().find("--shards must be"), std::string::npos) << err.str();
+  }
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ std::shared_ptr<core::TrainedModel> quick_model(std::span<const double> series,
 serving::ServiceConfig quick_service(std::size_t shards = 1) {
   serving::ServiceConfig cfg;
   cfg.shards = shards;
-  cfg.replicas = 2;
   cfg.background_retrain = false;  // deterministic versions/retrain counts
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.space.history_max = 16;
