@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
@@ -67,7 +68,8 @@ flags:
   --quant              int8 row-quantized inference (LD_QUANT=1), on every
                        kernel tier
   --interval M         CSV trace interval minutes (default 30)
-  --epochs E           quick-train epoch budget (default 20)
+  --epochs E           quick-train and retrain epoch budget, >= 1
+                       (default 20)
   --seed S             quick-train seed (default 2020)
   --tune N             quick-train BO budget: N candidate fits over a small
                        space (default 3; 0 = fixed hyperparameters, no search)
@@ -78,9 +80,10 @@ flags:
   --faults SPEC        enable deterministic fault injection, e.g.
                        'checkpoint.write:p=0.3,retrain.hang:mode=sleep:ms=2000'
   --fault-seed S       fault-injection RNG seed (default 42)
-  --retrain-timeout S  watchdog deadline per retrain attempt in seconds
-                       (default 0 = unsupervised)
-  --retrain-attempts N max retrain attempts incl. retries (default 3)
+  --retrain-timeout S  deadline per retrain attempt in seconds, >= 0: an
+                       attempt still training at it is cancelled at its
+                       next epoch and discarded (default 0 = no deadline)
+  --retrain-attempts N max retrain attempts incl. retries, >= 1 (default 3)
   --wal-dir D          durability root: per-shard write-ahead journals +
                        snapshot manifest under D; on startup the previous
                        run's state is recovered (snapshot + WAL tail replay)
@@ -138,7 +141,7 @@ void quick_train(serving::PredictionService& service, const std::string& name,
   const workloads::TraceSplit split = workloads::split_trace(trace, 0.75, 0.2);
 
   core::LoadDynamicsConfig cfg;
-  cfg.training.trainer.max_epochs = static_cast<std::size_t>(args.get_int("epochs", 20));
+  cfg.training.trainer.max_epochs = size_flag(args, "epochs", 20, 1);
   cfg.training.trainer.min_updates = 200;
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
 
@@ -295,12 +298,13 @@ int run_serve(int argc, const char* const* argv, std::istream& in, std::ostream&
     // Serving-scale warm retrains: a few cheap candidates on recent history.
     cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
     cfg.adaptive.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
-    cfg.adaptive.base.training.trainer.max_epochs =
-        static_cast<std::size_t>(args.get_int("epochs", 20));
+    cfg.adaptive.base.training.trainer.max_epochs = size_flag(args, "epochs", 20, 1);
     cfg.adaptive.refresh_candidates = 2;
     cfg.retrain_timeout_seconds = args.get_double("retrain-timeout", 0.0);
-    cfg.retrain_retry.max_attempts =
-        static_cast<std::size_t>(args.get_int("retrain-attempts", 3));
+    if (!std::isfinite(cfg.retrain_timeout_seconds) || cfg.retrain_timeout_seconds < 0)
+      throw std::invalid_argument("--retrain-timeout must be a finite number >= 0, got " +
+                                  args.get("retrain-timeout", ""));
+    cfg.retrain_retry.max_attempts = size_flag(args, "retrain-attempts", 3, 1);
     cfg.wal.dir = args.get("wal-dir", "");
     {
       // Flag beats env beats the interval default.

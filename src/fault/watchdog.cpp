@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <thread>
+#include <utility>
 
 namespace ld::fault {
 
@@ -11,6 +13,15 @@ namespace {
 thread_local const CancelToken* t_cancel_token = nullptr;
 
 }  // namespace
+
+CancelToken::CancelToken(const CancelToken* parent, double timeout_seconds) noexcept
+    : parent_(parent) {
+  if (!std::isfinite(timeout_seconds) || timeout_seconds <= 0.0) return;
+  // Clamp to ~30 years so the double -> ticks conversion cannot overflow.
+  const std::chrono::duration<double> timeout(std::min(timeout_seconds, 1e9));
+  has_deadline_ = true;
+  deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(timeout);
+}
 
 CancelScope::CancelScope(const CancelToken* token) noexcept : previous_(t_cancel_token) {
   t_cancel_token = token;
@@ -54,138 +65,30 @@ const char* to_string(TaskStatus status) noexcept {
   return "unknown";
 }
 
-Supervisor::~Supervisor() {
-  std::vector<std::pair<std::thread, std::shared_ptr<Task>>> orphans;
-  {
-    std::scoped_lock lock(mu_);
-    orphans.swap(orphans_);
-  }
-  for (auto& [thread, task] : orphans) {
-    task->token.cancel();
-    if (thread.joinable()) thread.join();
-  }
-}
-
-TaskStatus Supervisor::run(const std::function<void()>& fn, double timeout_seconds,
-                           std::string* error, bool* permanent) {
+TaskStatus run_with_deadline(const std::function<void()>& fn, double timeout_seconds,
+                             std::string* error, bool* permanent) {
   if (permanent != nullptr) *permanent = false;
-  if (timeout_seconds <= 0.0) {
-    // Unsupervised fast path: no helper thread, exceptions surface directly.
-    try {
-      fn();
-      return TaskStatus::kCompleted;
-    } catch (const CancelledError& e) {
-      if (error != nullptr) *error = e.what();
-      return TaskStatus::kFailed;
-    } catch (const std::invalid_argument& e) {
-      if (error != nullptr) *error = e.what();
-      if (permanent != nullptr) *permanent = true;
-      return TaskStatus::kFailed;
-    } catch (const std::logic_error& e) {
-      if (error != nullptr) *error = e.what();
-      if (permanent != nullptr) *permanent = true;
-      return TaskStatus::kFailed;
-    } catch (const std::exception& e) {
-      if (error != nullptr) *error = e.what();
-      return TaskStatus::kFailed;
-    }
+  const CancelToken token(t_cancel_token, timeout_seconds);
+  const CancelScope scope(&token);
+  std::string message;
+  bool failed = true;
+  bool logic = false;
+  try {
+    fn();
+    failed = false;
+  } catch (const std::logic_error& e) {  // std::invalid_argument included
+    message = e.what();
+    logic = true;
+  } catch (const std::exception& e) {
+    message = e.what();
+  } catch (...) {
+    message = "unknown exception";
   }
-
-  {
-    std::scoped_lock lock(mu_);
-    reap_finished_locked();
-  }
-
-  auto task = std::make_shared<Task>();
-  std::thread worker([task, fn] {
-    CancelScope scope(&task->token);
-    std::exception_ptr task_error;
-    bool task_permanent = false;
-    try {
-      fn();
-    } catch (const std::invalid_argument&) {
-      task_error = std::current_exception();
-      task_permanent = true;
-    } catch (const std::logic_error&) {
-      task_error = std::current_exception();
-      task_permanent = true;
-    } catch (...) {
-      task_error = std::current_exception();
-    }
-    std::scoped_lock lock(task->mu);
-    task->error = task_error;
-    task->permanent = task_permanent;
-    task->done = true;
-    task->cv.notify_all();
-  });
-
-  bool finished = false;
-  {
-    std::unique_lock lock(task->mu);
-    finished = task->cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                                 [&task] { return task->done; });
-  }
-  if (!finished) {
-    task->token.cancel();
-    // Give the task a short grace period to observe cancellation — a
-    // cooperative worker unwinds in ~1 ms and we can join it here instead
-    // of orphaning a thread.
-    {
-      std::unique_lock lock(task->mu);
-      finished = task->cv.wait_for(lock, std::chrono::milliseconds(50),
-                                   [&task] { return task->done; });
-    }
-    if (!finished) {
-      std::scoped_lock lock(mu_);
-      orphans_.emplace_back(std::move(worker), task);
-      return TaskStatus::kTimedOut;
-    }
-    worker.join();
-    return TaskStatus::kTimedOut;
-  }
-  worker.join();
-
-  if (task->error != nullptr) {
-    if (error != nullptr) {
-      try {
-        std::rethrow_exception(task->error);
-      } catch (const std::exception& e) {
-        *error = e.what();
-      } catch (...) {
-        *error = "unknown exception";
-      }
-    }
-    if (permanent != nullptr) *permanent = task->permanent;
-    return TaskStatus::kFailed;
-  }
-  return TaskStatus::kCompleted;
-}
-
-std::size_t Supervisor::orphaned() const {
-  std::scoped_lock lock(mu_);
-  std::size_t count = 0;
-  for (const auto& [thread, task] : orphans_) {
-    std::scoped_lock task_lock(task->mu);
-    if (!task->done) ++count;
-  }
-  return count;
-}
-
-void Supervisor::reap_finished_locked() {
-  auto it = orphans_.begin();
-  while (it != orphans_.end()) {
-    bool done = false;
-    {
-      std::scoped_lock task_lock(it->second->mu);
-      done = it->second->done;
-    }
-    if (done) {
-      if (it->first.joinable()) it->first.join();
-      it = orphans_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  if (token.expired()) return TaskStatus::kTimedOut;
+  if (!failed) return TaskStatus::kCompleted;
+  if (error != nullptr) *error = std::move(message);
+  if (permanent != nullptr) *permanent = logic;
+  return TaskStatus::kFailed;
 }
 
 }  // namespace ld::fault

@@ -1,25 +1,20 @@
 // Cooperative cancellation, deadline supervision, and retry/backoff for
 // long-running background work (the serving layer's retrain worker).
 //
-// A Supervisor runs a task on a helper thread and waits up to a deadline.
-// On timeout it requests cancellation through a thread-local CancelToken —
-// long loops (the nn trainer's epoch loop, injected hangs) poll
-// cancellation_requested() and unwind promptly — and parks the still-running
-// thread on an orphan list that is reaped opportunistically and joined at
-// destruction, so a hung attempt never blocks the caller and never leaks a
-// detached thread.
+// run_with_deadline() runs a task on the calling thread under a CancelToken
+// that carries the deadline. Long loops (the nn trainer's epoch loop,
+// injected hangs) poll cancellation_requested() and unwind promptly once the
+// deadline passes; a task still running at its deadline is reported as timed
+// out and its result discarded. Nothing is ever run on another thread, so a
+// task that never polls holds its caller until it returns.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/rng.hpp"
 
@@ -27,13 +22,31 @@ namespace ld::fault {
 
 class CancelToken {
  public:
+  using Clock = std::chrono::steady_clock;
+
+  CancelToken() = default;
+  /// A child token: also cancelled once `parent` (may be null) is, and — for
+  /// a finite timeout_seconds > 0 — once that many seconds have passed.
+  CancelToken(const CancelToken* parent, double timeout_seconds) noexcept;
+
   void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }
+  /// Without a parent or deadline this is one relaxed load; a deadline adds
+  /// one steady_clock read.
   [[nodiscard]] bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_relaxed);
+    if (flag_.load(std::memory_order_relaxed)) return true;
+    if (parent_ != nullptr && parent_->cancelled()) return true;
+    return expired();
+  }
+  /// True when the token carries a deadline and it has passed.
+  [[nodiscard]] bool expired() const noexcept {
+    return has_deadline_ && Clock::now() >= deadline_;
   }
 
  private:
   std::atomic<bool> flag_{false};
+  const CancelToken* parent_ = nullptr;
+  bool has_deadline_ = false;
+  Clock::time_point deadline_{};
 };
 
 /// Installs `token` as the calling thread's cancellation token for the
@@ -50,8 +63,8 @@ class CancelScope {
 };
 
 /// True when the calling thread's current CancelToken has been cancelled.
-/// One thread-local pointer read plus one relaxed load — cheap enough for
-/// per-epoch polling.
+/// One thread-local pointer read plus the token's cancelled() — cheap enough
+/// for per-epoch polling.
 [[nodiscard]] bool cancellation_requested() noexcept;
 
 /// Thrown by cooperative workers when they observe cancellation.
@@ -80,39 +93,14 @@ struct RetryPolicy {
 enum class TaskStatus { kCompleted, kFailed, kTimedOut };
 [[nodiscard]] const char* to_string(TaskStatus status) noexcept;
 
-class Supervisor {
- public:
-  Supervisor() = default;
-  ~Supervisor();
-  Supervisor(const Supervisor&) = delete;
-  Supervisor& operator=(const Supervisor&) = delete;
-
-  /// Run `fn` with a deadline. timeout_seconds <= 0 runs inline (no helper
-  /// thread, no cancellation) — the unsupervised fast path. On kFailed,
-  /// `error` receives the exception message and `permanent` is set when the
-  /// exception was a std::invalid_argument / std::logic_error (retrying
-  /// cannot help). On kTimedOut the task is cancelled and orphaned; its
-  /// side effects must be confined to state captured inside `fn`.
-  TaskStatus run(const std::function<void()>& fn, double timeout_seconds,
-                 std::string* error = nullptr, bool* permanent = nullptr);
-
-  /// Timed-out tasks still running (reaped as they finish).
-  [[nodiscard]] std::size_t orphaned() const;
-
- private:
-  struct Task {
-    CancelToken token;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::exception_ptr error;
-    bool permanent = false;
-  };
-
-  void reap_finished_locked();
-
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::thread, std::shared_ptr<Task>>> orphans_;
-};
+/// Run `fn` on the calling thread under a CancelToken that is a child of the
+/// thread's current token and, for timeout_seconds > 0, expires after that
+/// many seconds. An attempt still running at its deadline — whether it
+/// unwinds on cancellation, throws, or returns late without polling — is
+/// kTimedOut. Otherwise an exception is kFailed: `error` receives its
+/// message and `permanent` is set for std::logic_error (std::invalid_argument
+/// included), where retrying cannot help.
+TaskStatus run_with_deadline(const std::function<void()>& fn, double timeout_seconds,
+                             std::string* error = nullptr, bool* permanent = nullptr);
 
 }  // namespace ld::fault

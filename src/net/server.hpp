@@ -18,11 +18,12 @@
 //     breaks the caller's control loop now — so observations go first.
 //     Sheds are counted in ld_shed_total{verb=}.
 //  4. execute the queue against the PredictionService. Text lines and HTTP
-//     requests run one at a time on the loop thread (BATCH fans out on the
-//     pool) and act as barriers. Each run of binary BPREDICT/BOBSERVE frames
-//     between them is parsed once, grouped by workload into chains that keep
-//     arrival order, and the chains run concurrently on the global
-//     ThreadPool with the loop thread taking chunks too. Every request
+//     requests run one at a time on the loop thread (BATCH forecasts its
+//     workloads one after another) and act as barriers. Each run of binary
+//     BPREDICT/BOBSERVE frames between them is parsed once, grouped by
+//     workload into chains that keep arrival order, and the chains run
+//     concurrently on the global ThreadPool with the loop thread taking
+//     chunks too. Every request
 //     encodes its reply into its own slot; the slots are appended in arrival
 //     order, so each connection reads its replies in request order. A run
 //     with fewer frames than the pool has threads — and every run when

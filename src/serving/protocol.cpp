@@ -168,18 +168,16 @@ bool LineProtocol::dispatch(const std::string& verb, std::istringstream& is,
       write_forecast(out, name, result.forecast, result.level);
     } else if (verb == "BATCH") {
       const std::size_t horizon = parse_count(next_token(is, "horizon"), "horizon");
-      std::vector<PredictRequest> requests;
-      std::string name;
-      while (is >> name) requests.push_back({name, horizon});
-      if (requests.empty()) throw std::invalid_argument("missing workloads");
-      const std::vector<PredictResponse> responses = service_.predict_batch(requests);
-      for (std::size_t i = 0; i < responses.size(); ++i) {
-        if (responses[i].error.empty())
-          write_forecast(out, requests[i].workload, responses[i].forecast,
-                         responses[i].level);
-        else
-          out << "ERR " << requests[i].workload << ": " << responses[i].error << '\n';
-      }
+      std::string name = next_token(is, "workloads");
+      // One PRED or in-slot ERR line per workload, in request order.
+      do {
+        try {
+          const PredictResult result = service_.predict_detailed(name, horizon);
+          write_forecast(out, name, result.forecast, result.level);
+        } catch (const std::exception& e) {
+          out << "ERR " << name << ": " << e.what() << '\n';
+        }
+      } while (is >> name);
     } else if (verb == "RETRAIN") {
       const std::string name = next_token(is, "workload");
       out << (service_.request_retrain(name) ? "OK queued\n" : "OK already-pending\n");

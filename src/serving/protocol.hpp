@@ -9,7 +9,7 @@
 //   OBSERVE <workload> <value>         ingest one actual observation
 //   INGEST <workload> <v1> <v2> ...    bulk-ingest observations
 //   PREDICT <workload> <horizon>       forecast the next <horizon> intervals
-//   BATCH <horizon> <w1> <w2> ...      micro-batched forecast across workloads
+//   BATCH <horizon> <w1> <w2> ...      PREDICT each workload, one line each
 //   RETRAIN <workload>                 queue a background warm retrain
 //   WAIT                               block until the retrain queue drains
 //   SAVE <workload> <path>             persist the current model

@@ -120,6 +120,8 @@ PredictionService::PredictionService(ServiceConfig config)
       registry_(config_.shards == 0 ? default_shards() : config_.shards) {
   if (config_.max_history < 16)
     throw std::invalid_argument("serving: max_history must be >= 16");
+  if (!std::isfinite(config_.retrain_timeout_seconds))
+    throw std::invalid_argument("serving: retrain_timeout_seconds must be finite");
   if (!config_.checkpoint_dir.empty())
     std::filesystem::create_directories(config_.checkpoint_dir);
   const std::size_t n = registry_.shard_count();
@@ -153,13 +155,14 @@ PredictionService::PredictionService(ServiceConfig config)
 PredictionService::~PredictionService() {
   {
     std::scoped_lock lock(sched_mu_);
-    stop_ = true;
+    stop_token_.cancel();
   }
   sched_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Drain tasks run on the shared pool and hold `this`: wait them out.
-  // Each exits at its next between-jobs stop check (queued jobs are
-  // abandoned on shutdown, as the single worker did).
+  // Drain tasks run on the shared pool and hold `this`: wait them out. An
+  // in-flight retrain unwinds at its next cancellation poll, and each drain
+  // exits at its next between-jobs stop check (queued jobs are abandoned on
+  // shutdown, as the single worker did).
   {
     std::unique_lock lock(sched_mu_);
     idle_cv_.wait(lock, [this] { return active_drains_ == 0; });
@@ -476,21 +479,6 @@ PredictResult PredictionService::predict_detailed(const std::string& name,
   return result;
 }
 
-std::vector<PredictResponse> PredictionService::predict_batch(
-    std::span<const PredictRequest> requests) {
-  std::vector<PredictResponse> out(requests.size());
-  ThreadPool::global().parallel_for(0, requests.size(), [&](std::size_t i) {
-    try {
-      PredictResult result = predict_detailed(requests[i].workload, requests[i].horizon);
-      out[i].forecast = std::move(result.forecast);
-      out[i].level = result.level;
-    } catch (const std::exception& e) {
-      out[i].error = e.what();
-    }
-  });
-  return out;
-}
-
 bool PredictionService::request_retrain(const std::string& name) {
   if (!registry_.current(name)) return false;
   Workload& w = workload(name);
@@ -536,12 +524,12 @@ void PredictionService::dispatcher_loop() {
     {
       std::unique_lock lock(sched_mu_);
       sched_cv_.wait(lock, [this] {
-        if (stop_) return true;
+        if (stop_token_.cancelled()) return true;
         for (const auto& shard : shards_)
           if (!shard->queue.empty() && !shard->drain_active) return true;
         return false;
       });
-      if (stop_) return;
+      if (stop_token_.cancelled()) return;
       to_start.clear();
       for (std::size_t i = 0; i < shards_.size(); ++i) {
         Shard& shard = *shards_[i];
@@ -565,7 +553,7 @@ void PredictionService::drain_shard(std::size_t shard_index) {
     std::string name;
     {
       std::scoped_lock lock(sched_mu_);
-      if (stop_ || shard.queue.empty()) {
+      if (stop_token_.cancelled() || shard.queue.empty()) {
         shard.drain_active = false;
         --active_drains_;
         idle_cv_.notify_all();
@@ -591,24 +579,22 @@ void PredictionService::run_retrain(const std::string& name, Rng& backoff_rng) {
   Workload& w = workload(name);
   const Stopwatch clock;
   std::size_t retrain_index = 0;
-  auto history = std::make_shared<std::vector<double>>();
+  std::vector<double> history;
   {
     std::scoped_lock lock(w.mu);
-    *history = w.history;
+    history = w.history;
     retrain_index = w.retrains;
   }
   const std::shared_ptr<const PublishedModel> incumbent = registry_.current(name);
 
+  // Shutdown cancels both the attempt and the backoff sleep.
+  const fault::CancelScope stop_scope(&stop_token_);
   std::shared_ptr<core::TrainedModel> model;
   if (incumbent) {
-    // Attempt closures are self-contained (no service state) so a timed-out
-    // attempt orphaned by the supervisor can finish — or keep hanging —
-    // without touching anything the service might mutate or destroy.
-    const auto hp = std::make_shared<const core::Hyperparameters>(incumbent->hyperparameters());
-    const auto adaptive = std::make_shared<const core::AdaptiveConfig>(config_.adaptive);
     const fault::RetryPolicy& policy = config_.retrain_retry;
     const std::size_t max_attempts = std::max<std::size_t>(1, policy.max_attempts);
-    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < max_attempts && !stop_token_.cancelled();
+         ++attempt) {
       if (attempt > 0) {
         w.obs.retrain_retries->inc();
         {
@@ -619,22 +605,25 @@ void PredictionService::run_retrain(const std::string& name, Rng& backoff_rng) {
         log::info("serving: retrain of '", name, "' retry ", attempt, " in ", wait, "s");
         fault::cancellable_sleep(wait);
       }
-      auto slot = std::make_shared<std::shared_ptr<core::TrainedModel>>();
-      const auto attempt_fn = [slot, history, hp, adaptive, retrain_index, attempt] {
-        LD_FAULT_POINT("retrain.hang");
-        LD_FAULT_POINT("retrain.fail");
-        // The expensive part: runs with no service lock held, so predictions
-        // and ingestion proceed untouched on the incumbent snapshot.
-        // `+ attempt` gives a retry fresh candidate probes (attempt 0 keeps
-        // the historical seeding).
-        *slot = core::warm_retrain(*history, *hp, *adaptive, retrain_index + attempt);
-      };
+      std::shared_ptr<core::TrainedModel> candidate;
       std::string error;
       bool permanent = false;
-      const fault::TaskStatus status =
-          supervisor_.run(attempt_fn, config_.retrain_timeout_seconds, &error, &permanent);
+      const fault::TaskStatus status = fault::run_with_deadline(
+          [&] {
+            LD_FAULT_POINT("retrain.hang");
+            LD_FAULT_POINT("retrain.fail");
+            // The expensive part: runs with no service lock held, so
+            // predictions and ingestion proceed untouched on the incumbent
+            // snapshot. `+ attempt` gives a retry fresh candidate probes
+            // (attempt 0 keeps the historical seeding).
+            candidate = core::warm_retrain(history, incumbent->hyperparameters(),
+                                           config_.adaptive, retrain_index + attempt);
+          },
+          config_.retrain_timeout_seconds, &error, &permanent);
+      // Stopped mid-attempt: abandoned like a queued job, neither a failure
+      // nor a timeout.
+      if (stop_token_.cancelled()) break;
       if (status == fault::TaskStatus::kCompleted) {
-        std::shared_ptr<core::TrainedModel> candidate = *slot;
         if (!candidate) {
           // No candidate converged: the historical quiet outcome, not a
           // fault — the incumbent simply stays. Don't burn retries on it.

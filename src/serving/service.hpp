@@ -65,11 +65,11 @@ struct ServiceConfig {
   /// Automatically queue a background retrain when a workload drifts. Manual
   /// request_retrain() works regardless.
   bool background_retrain = true;
-  /// Watchdog deadline for one background retrain attempt. <= 0 (the
-  /// default) runs attempts unsupervised on the drain task — the pre-PR-4
-  /// behavior. > 0 runs each attempt on a helper thread, cancelling (and, if
-  /// it won't yield, orphaning) attempts that exceed the deadline while the
-  /// old model keeps serving.
+  /// Deadline for one background retrain attempt, which always runs on its
+  /// shard's drain task. > 0 cancels an attempt that overruns it (the
+  /// trainer polls once per epoch) and discards its result while the old
+  /// model keeps serving; <= 0 (the default) sets no deadline. Must be
+  /// finite.
   double retrain_timeout_seconds = 0.0;
   /// Retry/backoff schedule for failed or timed-out retrain attempts
   /// (jittered deterministically from adaptive.base.seed).
@@ -120,17 +120,6 @@ struct WorkloadStats {
   std::size_t retrain_retries = 0;    ///< attempts beyond the first
   std::size_t retrain_timeouts = 0;   ///< attempts cancelled by the watchdog
   fault::DegradationLevel last_level = fault::DegradationLevel::kLive;
-};
-
-struct PredictRequest {
-  std::string workload;
-  std::size_t horizon = 1;
-};
-
-struct PredictResponse {
-  std::vector<double> forecast;  ///< empty on error
-  std::string error;             ///< empty on success
-  fault::DegradationLevel level = fault::DegradationLevel::kLive;
 };
 
 /// predict_detailed(): the forecast plus how it was produced.
@@ -189,11 +178,6 @@ class PredictionService {
   /// published and at least one observation exists; only those two
   /// preconditions still throw.
   [[nodiscard]] PredictResult predict_detailed(const std::string& name, std::size_t horizon);
-
-  /// Micro-batch: fan the requests out over the shared ThreadPool, one slot
-  /// per request. Per-request failures are reported in-slot, never thrown.
-  [[nodiscard]] std::vector<PredictResponse> predict_batch(
-      std::span<const PredictRequest> requests);
 
   /// Queue a background warm retrain. Returns false when the workload has no
   /// published model yet or a retrain is already pending.
@@ -385,13 +369,12 @@ class PredictionService {
   std::size_t pending_jobs_ = 0;      ///< queued, not yet started
   std::size_t active_drains_ = 0;     ///< drain tasks in flight on the pool
   std::uint64_t job_seq_ = 0;         ///< FIFO tiebreak for equal priorities
-  bool stop_ = false;
+  /// Cancelled (under sched_mu_) by the destructor. Also the parent of every
+  /// retrain attempt's token and of the retry backoff sleep, so shutdown
+  /// abandons an in-flight retrain at its next cancellation poll instead of
+  /// waiting it out.
+  fault::CancelToken stop_token_;
   std::thread dispatcher_;
-
-  /// Deadline supervision for retrain attempts. Last member: destroyed
-  /// first, joining any orphaned attempt before the rest of the service
-  /// tears down (attempt closures are self-contained regardless).
-  fault::Supervisor supervisor_;
 };
 
 }  // namespace ld::serving

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -228,53 +229,102 @@ TEST(FaultWatchdog, CancelScopeNestsAndRestores) {
   EXPECT_FALSE(fault::cancellation_requested());
 }
 
+TEST(FaultWatchdog, ChildTokenFollowsParentAndDeadline) {
+  fault::CancelToken parent;
+  const fault::CancelToken child(&parent, 0.0);
+  EXPECT_FALSE(child.cancelled());
+  EXPECT_FALSE(child.expired()) << "timeout 0 sets no deadline";
+  parent.cancel();
+  EXPECT_TRUE(child.cancelled()) << "cancelling the parent cancels the child";
+  EXPECT_FALSE(child.expired());
+
+  const fault::CancelToken timed(nullptr, 0.01);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(timed.expired());
+  EXPECT_TRUE(timed.cancelled());
+
+  // Huge and non-finite timeouts must not overflow the deadline arithmetic.
+  EXPECT_FALSE(fault::CancelToken(nullptr, 1e300).cancelled());
+  EXPECT_FALSE(fault::CancelToken(nullptr, std::numeric_limits<double>::infinity()).expired());
+  EXPECT_FALSE(fault::CancelToken(nullptr, std::numeric_limits<double>::quiet_NaN()).expired());
+}
+
 TEST(FaultWatchdog, InlinePathClassifiesOutcomes) {
-  fault::Supervisor supervisor;
   std::string error;
   bool permanent = true;
 
-  EXPECT_EQ(supervisor.run([] {}, 0.0, &error, &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] {}, 0.0, &error, &permanent),
             fault::TaskStatus::kCompleted);
   EXPECT_FALSE(permanent);
 
-  EXPECT_EQ(supervisor.run([] { throw std::runtime_error("transient"); }, 0.0, &error,
-                           &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] { throw std::runtime_error("transient"); }, 0.0,
+                                     &error, &permanent),
             fault::TaskStatus::kFailed);
   EXPECT_EQ(error, "transient");
   EXPECT_FALSE(permanent) << "runtime errors are retryable";
 
-  EXPECT_EQ(supervisor.run([] { throw std::invalid_argument("bad config"); }, 0.0, &error,
-                           &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] { throw std::invalid_argument("bad config"); }, 0.0,
+                                     &error, &permanent),
             fault::TaskStatus::kFailed);
   EXPECT_TRUE(permanent) << "invalid_argument means retrying cannot help";
-  EXPECT_EQ(supervisor.orphaned(), 0u);
 }
 
 TEST(FaultWatchdog, SupervisedPathCompletesFailsAndTimesOut) {
-  fault::Supervisor supervisor;
   std::string error;
   bool permanent = false;
 
-  EXPECT_EQ(supervisor.run([] {}, 5.0, &error, &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] {}, 5.0, &error, &permanent),
             fault::TaskStatus::kCompleted);
-  EXPECT_EQ(supervisor.run([] { throw std::logic_error("broken"); }, 5.0, &error,
-                           &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] { throw std::logic_error("broken"); }, 5.0, &error,
+                                     &permanent),
             fault::TaskStatus::kFailed);
   EXPECT_EQ(error, "broken");
   EXPECT_TRUE(permanent);
 
-  // A cooperative hang: cancellable_sleep observes the watchdog's cancel, so
-  // the timed-out attempt unwinds promptly instead of hanging for 30s.
+  // A cooperative hang: cancellable_sleep observes the deadline, so the
+  // timed-out attempt unwinds promptly instead of hanging for 30s.
   const Stopwatch clock;
-  EXPECT_EQ(supervisor.run([] { fault::cancellable_sleep(30.0); }, 0.05, &error,
-                           &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] { fault::cancellable_sleep(30.0); }, 0.05, &error,
+                                     &permanent),
             fault::TaskStatus::kTimedOut);
   EXPECT_LT(clock.seconds(), 5.0);
   EXPECT_FALSE(permanent);
-  // The cancelled sleep returns within the grace window or shortly after;
-  // either way the next run (and the destructor) reaps it without blocking.
-  EXPECT_EQ(supervisor.run([] {}, 1.0, &error, &permanent),
+  EXPECT_EQ(fault::run_with_deadline([] {}, 1.0, &error, &permanent),
             fault::TaskStatus::kCompleted);
+}
+
+TEST(FaultWatchdog, RunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const double timeout : {0.0, 5.0}) {
+    std::thread::id ran_on;
+    EXPECT_EQ(fault::run_with_deadline([&] { ran_on = std::this_thread::get_id(); }, timeout),
+              fault::TaskStatus::kCompleted);
+    EXPECT_EQ(ran_on, caller) << "timeout " << timeout;
+  }
+}
+
+TEST(FaultWatchdog, LateReturnWithoutPollingTimesOut) {
+  // The task never polls: it returns normally, but after its deadline, so its
+  // result is discarded as a timeout.
+  std::string error;
+  bool permanent = true;
+  EXPECT_EQ(fault::run_with_deadline(
+                [] { std::this_thread::sleep_for(std::chrono::milliseconds(30)); }, 0.005,
+                &error, &permanent),
+            fault::TaskStatus::kTimedOut);
+  EXPECT_FALSE(permanent);
+}
+
+TEST(FaultWatchdog, AttemptTokenIsAChildOfTheCallersToken) {
+  fault::CancelToken stop;
+  const fault::CancelScope scope(&stop);
+  stop.cancel();
+  bool saw_cancel = false;
+  EXPECT_EQ(fault::run_with_deadline([&] { saw_cancel = fault::cancellation_requested(); },
+                                     0.0),
+            fault::TaskStatus::kCompleted)
+      << "a cancelled parent is not a timeout";
+  EXPECT_TRUE(saw_cancel);
 }
 
 TEST(FaultFallback, AllFiniteAndBaselineForecast) {
@@ -409,6 +459,35 @@ TEST(FaultServing, WatchdogCancelsHungRetrain) {
   EXPECT_EQ(stats.retrain_failures, 1u);
   EXPECT_EQ(stats.version, 1u);
   EXPECT_TRUE(fault::all_finite(service.predict("web", 4)));
+}
+
+TEST(FaultServing, ShutdownCancelsInFlightRetrain) {
+  const InjectorGuard guard;
+  const auto series = seasonal(240);
+  serving::ServiceConfig cfg = quick_service();  // no retrain deadline
+  Stopwatch clock;
+  {
+    serving::PredictionService service(cfg);
+    service.publish("web", *quick_model(series));
+    service.observe_many("web", series);
+    fault::Injector::instance().configure("retrain.hang:p=1:mode=sleep:ms=30000", 3);
+    ASSERT_TRUE(service.request_retrain("web"));
+    while (fault::Injector::instance().fire_count("retrain.hang") == 0) {
+      ASSERT_LT(clock.seconds(), 20.0) << "the retrain never reached its hang";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    clock.reset();
+  }
+  EXPECT_LT(clock.seconds(), 5.0) << "shutdown must not wait out a hung retrain";
+}
+
+TEST(FaultServing, NonFiniteRetrainTimeoutRejected) {
+  serving::ServiceConfig cfg = quick_service();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    cfg.retrain_timeout_seconds = bad;
+    EXPECT_THROW(serving::PredictionService{cfg}, std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <numbers>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "app/serve_app.hpp"
@@ -390,28 +391,6 @@ TEST(Serving, RestartAfterTornCheckpointFallsBackToPreviousGood) {
         << "previous-good restart must reproduce v1's exact forecast (step " << i << ")";
 }
 
-TEST(Serving, PredictBatchMatchesIndividualAndReportsPerSlotErrors) {
-  const auto series = seasonal(240);
-  serving::PredictionService service(quick_service());
-  service.publish("web", *quick_model(series));
-  service.observe_many("web", series);
-
-  const std::vector<serving::PredictRequest> requests{
-      {"web", 2}, {"missing", 2}, {"web", 4}};
-  const auto responses = service.predict_batch(requests);
-  ASSERT_EQ(responses.size(), 3u);
-
-  EXPECT_TRUE(responses[0].error.empty());
-  EXPECT_TRUE(responses[2].error.empty());
-  const auto direct = service.predict("web", 4);
-  ASSERT_EQ(responses[2].forecast.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(responses[2].forecast[i], direct[i]);
-  EXPECT_EQ(responses[0].forecast[0], responses[2].forecast[0]);
-
-  EXPECT_TRUE(responses[1].forecast.empty());
-  EXPECT_NE(responses[1].error.find("missing"), std::string::npos);
-}
-
 TEST(ServingProtocol, ScriptedSessionEndToEnd) {
   const auto series = seasonal(240);
   const testutil::ScopedTempDir tmp("serving_protocol");
@@ -480,6 +459,26 @@ TEST(ServingProtocol, LosslessForecastPrecisionOverText) {
   EXPECT_EQ(tag, "PRED");
   // max_digits10 output must parse back to the identical double.
   EXPECT_EQ(value, service.predict("web", 1)[0]);
+}
+
+TEST(ServingProtocol, BatchRepliesMatchPredictWithErrorsInSlot) {
+  const auto series = seasonal(240);
+  serving::PredictionService service(quick_service());
+  service.publish("web", *quick_model(series));
+  service.observe_many("web", series);
+  serving::LineProtocol protocol(service);
+
+  std::ostringstream predict, missing, batch;
+  EXPECT_TRUE(protocol.handle("PREDICT web 4", predict));
+  EXPECT_TRUE(protocol.handle("PREDICT missing 4", missing));
+  EXPECT_TRUE(protocol.handle("BATCH 4 web missing web", batch));
+  ASSERT_EQ(missing.str().rfind("ERR ", 0), 0u) << missing.str();
+  EXPECT_EQ(batch.str(), predict.str() + "ERR missing: " + missing.str().substr(4) +
+                             predict.str());
+
+  std::ostringstream empty;
+  EXPECT_TRUE(protocol.handle("BATCH 4", empty));
+  EXPECT_EQ(empty.str(), "ERR missing workloads\n");
 }
 
 TEST(ServingProtocol, MetricsCommandEmitsPrometheusText) {
@@ -615,6 +614,23 @@ TEST(ServingApp, NegativeHistoryFailsCleanly) {
   std::ostringstream out, err;
   EXPECT_EQ(app::run_serve(3, argv, in, out, err), 2);
   EXPECT_NE(err.str().find("--history must be >= 16"), std::string::npos) << err.str();
+}
+
+TEST(ServingApp, BadRetrainFlagsFailCleanly) {
+  // Negative counts would wrap to SIZE_MAX (endless retries or epochs), zero
+  // epochs trains nothing, and a NaN or infinite deadline is meaningless.
+  const std::vector<std::pair<const char*, const char*>> cases{
+      {"--retrain-attempts", "-1"}, {"--retrain-attempts", "0"}, {"--epochs", "-1"},
+      {"--epochs", "0"},            {"--retrain-timeout", "nan"},
+      {"--retrain-timeout", "inf"}, {"--retrain-timeout", "-1"}};
+  for (const auto& [flag, value] : cases) {
+    const char* argv[] = {"ld_serve", flag, value};
+    std::istringstream in;
+    std::ostringstream out, err;
+    EXPECT_EQ(app::run_serve(3, argv, in, out, err), 2) << flag << ' ' << value;
+    EXPECT_NE(err.str().find(std::string(flag) + " must be"), std::string::npos)
+        << err.str();
+  }
 }
 
 TEST(ServingApp, OutOfRangeShardsFailCleanly) {

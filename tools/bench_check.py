@@ -10,7 +10,10 @@ Usage:
   tools/bench_check.py --current /tmp/perf.json
 
 The baseline (bench/BENCH_baseline.json) stores per-benchmark cpu_time in
-nanoseconds. Absolute times only transfer between identical machines, so CI
+nanoseconds. A run made with --benchmark_repetitions=N is read as the median
+of each benchmark's N rows, and each checked row prints its spread (max/min
+over the repetitions) next to its ratio, so one noisy repetition cannot
+decide a row. Absolute times only transfer between identical machines, so CI
 passes --normalize BM_Gemm/32: every time is divided by that benchmark's time
 in the *same* run, and the gate compares the resulting machine-free ratios.
 The budget is deliberately loose (25%) — this catches "the blocked GEMM lost
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 
 DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "..", "bench", "BENCH_baseline.json")
@@ -134,21 +138,26 @@ def check_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def load_run(path: str) -> dict[str, float]:
-    """Map benchmark name -> cpu_time (ns) from google-benchmark JSON output."""
+def load_run(path: str) -> tuple[dict[str, float], dict[str, float]]:
+    """Read google-benchmark JSON output into two maps keyed by benchmark name:
+    the median cpu_time (ns) over the name's repetition rows, and its spread
+    (max / min cpu_time over those rows; 1.0 for a single run)."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    times: dict[str, float] = {}
+    samples: dict[str, list[float]] = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue  # skip mean/median/stddev aggregate rows
         # google-benchmark reports in the unit the bench requested; fold to ns.
         unit = bench.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        times[bench["name"]] = float(bench["cpu_time"]) * scale
-    if not times:
+        samples.setdefault(bench["name"], []).append(float(bench["cpu_time"]) * scale)
+    if not samples:
         sys.exit(f"error: no benchmarks found in {path}")
-    return times
+    times = {name: statistics.median(runs) for name, runs in samples.items()}
+    spreads = {name: max(runs) / min(runs) if min(runs) > 0 else float("inf")
+               for name, runs in samples.items()}
+    return times, spreads
 
 
 def normalize(times: dict[str, float], anchor: str) -> dict[str, float]:
@@ -182,7 +191,7 @@ def main() -> int:
             args.budget = 0.50  # client-observed TCP latency is noisier
         return check_fleet(args)
 
-    current = load_run(args.current)
+    current, spreads = load_run(args.current)
     if args.regen:
         payload = {
             "_comment": "cpu_time in ns per benchmark; regen via tools/bench_check.py --regen",
@@ -209,7 +218,8 @@ def main() -> int:
             continue
         ratio = current[name] / base if base > 0 else float("inf")
         status = "FAIL" if ratio > 1.0 + args.budget else "ok"
-        print(f"[{status:>4}] {name}: {ratio:6.2f}x baseline")
+        print(f"[{status:>4}] {name}: {ratio:6.2f}x baseline "
+              f"(spread {spreads[name]:.2f}x)")
         if status == "FAIL":
             failures.append((name, ratio))
     for name in sorted(set(current) - set(baseline)):
