@@ -2,8 +2,10 @@
 // steps, GP fitting, EI maximization and the baseline predictors' fits.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/cloudinsight.hpp"
@@ -14,6 +16,7 @@
 #include "core/loaddynamics.hpp"
 #include "fault/injector.hpp"
 #include "nn/dataset.hpp"
+#include "nn/gate_math.hpp"
 #include "nn/network.hpp"
 #include "nn/trainer.hpp"
 #include "obs/registry.hpp"
@@ -57,7 +60,7 @@ void BM_GemmTiny(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTiny)->Arg(4)->Arg(8)->Arg(16);
 
-void BM_LstmStep(benchmark::State& state) {
+void BM_LstmStep(benchmark::State& state, std::size_t window_len, std::size_t layers) {
   // Single-window inference through a stacked network: the serving hot path.
   // Arg0 = hidden size, Arg1 = 1 for the fused single-timestep kernel
   // (forward_one, the forecast path on every tier), 0 for the layered
@@ -65,9 +68,9 @@ void BM_LstmStep(benchmark::State& state) {
   // path the fused kernel must beat.
   const auto hidden = static_cast<std::size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
-  nn::LstmNetwork net({.input_size = 1, .hidden_size = hidden, .num_layers = 2}, 11);
+  nn::LstmNetwork net({.input_size = 1, .hidden_size = hidden, .num_layers = layers}, 11);
   Rng rng(12);
-  std::vector<double> window(35);
+  std::vector<double> window(window_len);
   for (double& v : window) v = rng.uniform(0.5, 2.0);
   tensor::Matrix x(1, window.size());
   for (std::size_t t = 0; t < window.size(); ++t) x(0, t) = window[t];
@@ -80,9 +83,38 @@ void BM_LstmStep(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(net.forward(x));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(window.size()));
-  state.SetLabel(std::string(fused ? "fused" : "layered/blocked") + " T=35 L=2");
+  state.SetLabel(std::string(fused ? "fused" : "layered/blocked") + " T=" +
+                 std::to_string(window_len) + " L=" + std::to_string(layers));
 }
+// Table IV serving shapes: window 35, two layers.
+void BM_LstmStep(benchmark::State& state) { BM_LstmStep(state, 35, 2); }
 BENCHMARK(BM_LstmStep)->Args({32, 0})->Args({32, 1})->Args({98, 0})->Args({98, 1});
+// The benchmark's forecast_fleet shapes (one layer; window, cell) =
+// (8, 32), (26, 8), (48, 24): the smallest-window, smallest-cell and
+// longest-window models it serves.
+BENCHMARK_CAPTURE(BM_LstmStep, T8_L1, 8, 1)->Args({32, 1});
+BENCHMARK_CAPTURE(BM_LstmStep, T26_L1, 26, 1)->Args({8, 1});
+BENCHMARK_CAPTURE(BM_LstmStep, T48_L1, 48, 1)->Args({24, 1});
+
+void BM_GateActivations(benchmark::State& state) {
+  // The fused LSTM step's activations alone: sigmoid over the i/f and o
+  // blocks and tanh over the g block of one 4H gate array (Arg0 = H).
+  const auto hidden = static_cast<std::size_t>(state.range(0));
+  Rng rng(13);
+  std::vector<double> input(4 * hidden);
+  for (double& v : input) v = rng.uniform(-4.0, 4.0);
+  std::vector<double> gates(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), gates.begin());
+    nn::sigmoid_inplace(gates.data(), 2 * hidden);
+    nn::activate_inplace(nn::Activation::kTanh, gates.data() + 2 * hidden, hidden);
+    nn::sigmoid_inplace(gates.data() + 3 * hidden, hidden);
+    benchmark::DoNotOptimize(gates.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(gates.size()));
+}
+BENCHMARK(BM_GateActivations)->Arg(8)->Arg(32)->Arg(98);
 
 void BM_Cholesky(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -122,8 +122,24 @@ void TrainedModel::roll_forecast(std::span<const double> history, std::span<doub
   if (out.empty()) return;
   if (history.empty()) throw std::invalid_argument("TrainedModel: empty history");
   const std::size_t w = effective_window_;
-  tensor::Matrix window(1, w);  // one row: the batch shape forward() takes
-  const std::span<double> values = window.flat();
+  // The fused single-window step is the inference path on every GEMM tier
+  // (DESIGN.md §12) and rolls a thread-local buffer, so a warm thread
+  // forecasts without allocating. Only a thread pinned to the reference
+  // kernels takes the layered forward: that is the oracle LD_VERIFY_DIFF and
+  // the differential tests compare the fused path against. It needs the
+  // window as a one-row Matrix, and forward() fills backward caches, so it
+  // runs on a call-local copy of the shared network.
+  thread_local std::vector<double> fused_window;
+  std::optional<tensor::Matrix> oracle_window;
+  std::optional<nn::LstmNetwork> oracle;
+  std::span<double> values;
+  if (tensor::kernel_mode() == tensor::KernelMode::kReference) {
+    values = oracle_window.emplace(1, w).flat();
+    oracle.emplace(*network_);
+  } else {
+    fused_window.resize(w);
+    values = fused_window;
+  }
   // Left-pad with the earliest available value when history is short.
   for (std::size_t j = 0; j < w; ++j) {
     const std::ptrdiff_t idx =
@@ -132,15 +148,8 @@ void TrainedModel::roll_forecast(std::span<const double> history, std::span<doub
     const double v = idx >= 0 ? history[static_cast<std::size_t>(idx)] : history.front();
     values[j] = scaler_.transform(v);
   }
-  // The fused single-window step is the inference path on every GEMM tier
-  // (DESIGN.md §12). Only a thread pinned to the reference kernels takes the
-  // layered forward: that is the oracle LD_VERIFY_DIFF and the differential
-  // tests compare the fused path against. forward() fills backward caches,
-  // so the oracle runs on a call-local copy of the shared network.
-  std::optional<nn::LstmNetwork> oracle;
-  if (tensor::kernel_mode() == tensor::KernelMode::kReference) oracle.emplace(*network_);
   for (double& forecast : out) {
-    const double y = oracle ? oracle->forward(window)[0] : network_->forward_one(values);
+    const double y = oracle ? oracle->forward(*oracle_window)[0] : network_->forward_one(values);
     forecast = std::max(0.0, scaler_.inverse(y));
     // Recursive multi-step: the forecast becomes the newest window value.
     std::shift_left(values.begin(), values.end(), 1);

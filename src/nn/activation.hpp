@@ -20,17 +20,6 @@ enum class Activation { kTanh, kSigmoid, kSoftsign };
   return x;
 }
 
-/// Single-precision overload for the quantized fused inference path
-/// (LD_QUANT); same functions evaluated in float.
-[[nodiscard]] inline float activate(Activation activation, float x) noexcept {
-  switch (activation) {
-    case Activation::kTanh: return std::tanh(x);
-    case Activation::kSigmoid: return 1.0f / (1.0f + std::exp(-x));
-    case Activation::kSoftsign: return x / (1.0f + std::abs(x));
-  }
-  return x;
-}
-
 /// Derivative expressed in terms of the *activated* value y = f(x), which is
 /// what the LSTM caches (avoids storing pre-activations).
 [[nodiscard]] inline double activate_grad_from_output(Activation activation,

@@ -3,11 +3,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/gate_math.hpp"
+
 namespace ld::nn {
 
 namespace {
 inline double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
-inline float sigmoid(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
 }  // namespace
 
 GruLayer::GruLayer(std::size_t input_size, std::size_t hidden_size, Rng& rng,
@@ -272,20 +273,19 @@ void GruLayer::step_fused(const T* x, T* h, T* /*c*/, T* scratch) const {
     const T* row = ut + k * h3;
     for (std::size_t j = 0; j < 2 * H; ++j) pre[j] += hv * row[j];
   }
-  for (std::size_t j = 0; j < H; ++j) {
-    pre[j] = sigmoid(pre[j] + b[j]);                   // z (kept for the blend)
-    const T rv = sigmoid(pre[H + j] + b[H + j]);       // r
-    rh[j] = rv * h[j];
-  }
+  for (std::size_t j = 0; j < 2 * H; ++j) pre[j] += b[j];
+  sigmoid_inplace(pre, 2 * H);  // z (kept for the blend), r
+  for (std::size_t j = 0; j < H; ++j) rh[j] = pre[H + j] * h[j];
   for (std::size_t k = 0; k < H; ++k) {
     const T rhv = rh[k];
     const T* row = ut + k * h3 + 2 * H;
     for (std::size_t j = 0; j < H; ++j) pre[2 * H + j] += rhv * row[j];
   }
+  for (std::size_t j = 2 * H; j < h3; ++j) pre[j] += b[j];
+  activate_inplace(activation_, pre + 2 * H, H);  // g
   for (std::size_t j = 0; j < H; ++j) {
-    const T gv = activate(activation_, pre[2 * H + j] + b[2 * H + j]);
     const T zv = pre[j];
-    h[j] = (T(1) - zv) * h[j] + zv * gv;
+    h[j] = (T(1) - zv) * h[j] + zv * pre[2 * H + j];
   }
 }
 

@@ -41,10 +41,10 @@ class GruLayer {
   void pack();
 
   /// Fused single-sample inference step — same contract as
-  /// LstmLayer::step_fused, including thread safety and the stale-panel
-  /// check. GRU has no cell state, so `c` is ignored (kept for a uniform
-  /// call shape); `scratch` must hold >= 4*hidden_size elements (3H gate
-  /// pre-activations + H for r ⊙ h).
+  /// LstmLayer::step_fused, including the vectorised gate kernels, thread
+  /// safety and the stale-panel check. GRU has no cell state, so `c` is
+  /// ignored (kept for a uniform call shape); `scratch` must hold
+  /// >= 4*hidden_size elements (3H gate pre-activations + H for r ⊙ h).
   template <typename T>
   void step_fused(const T* x, T* h, T* c, T* scratch) const;
 

@@ -3,11 +3,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/gate_math.hpp"
+
 namespace ld::nn {
 
 namespace {
 inline double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
-inline float sigmoid(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
 }  // namespace
 
 LstmLayer::LstmLayer(std::size_t input_size, std::size_t hidden_size, Rng& rng,
@@ -192,15 +193,20 @@ void LstmLayer::step_fused(const T* x, T* h, T* c, T* scratch) const {
     const T* row = ut + k * h4;
     for (std::size_t j = 0; j < h4; ++j) pre[j] += hv * row[j];
   }
+  for (std::size_t j = 0; j < h4; ++j) pre[j] += b[j];
+  // Gate blocks are contiguous in [i, f, g, o] order: one vectorised kernel
+  // call per block instead of a scalar exp/tanh per unit.
+  sigmoid_inplace(pre, 2 * H);                     // i, f
+  activate_inplace(activation_, pre + 2 * H, H);  // g
+  sigmoid_inplace(pre + 3 * H, H);                 // o
+  T* act_c = scratch + h4;  // activate(C_t)
   for (std::size_t j = 0; j < H; ++j) {
-    const T iv = sigmoid(pre[j] + b[j]);
-    const T fv = sigmoid(pre[H + j] + b[H + j]);
-    const T gv = activate(activation_, pre[2 * H + j] + b[2 * H + j]);
-    const T ov = sigmoid(pre[3 * H + j] + b[3 * H + j]);
-    const T cv = fv * c[j] + iv * gv;
+    const T cv = pre[H + j] * c[j] + pre[j] * pre[2 * H + j];
     c[j] = cv;
-    h[j] = ov * activate(activation_, cv);
+    act_c[j] = cv;
   }
+  activate_inplace(activation_, act_c, H);
+  for (std::size_t j = 0; j < H; ++j) h[j] = pre[3 * H + j] * act_c[j];
 }
 
 template void LstmLayer::step_fused<double>(const double*, double*, double*,

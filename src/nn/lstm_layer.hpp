@@ -61,12 +61,16 @@ class LstmLayer {
   void pack();
 
   /// Fused single-sample inference step (DESIGN.md §12): advances the
-  /// recurrent state one timestep — all four gate GEMVs, biases and
-  /// activations in one pass over the packed transposed weights, with no
-  /// Matrix temporaries. `x` has input_size elements; `h` and `c` hold the
-  /// hidden/cell state (hidden_size each) and are updated in place;
-  /// `scratch` must hold >= 4*hidden_size elements. T=double computes on the
-  /// exact weights; T=float on the int8 row-quantized weights (LD_QUANT).
+  /// recurrent state one timestep — all four gate GEMVs and biases in one
+  /// pass over the packed transposed weights, with no Matrix temporaries,
+  /// then the vectorised gate kernels of nn/gate_math.hpp over each
+  /// contiguous gate block and over the new cell state. Those kernels stand
+  /// in for libm's exp/tanh within verify::kActivationUlpBound, so the step
+  /// is not bit-identical to forward(). `x` has input_size elements; `h`
+  /// and `c` hold the hidden/cell state (hidden_size each) and are updated
+  /// in place; `scratch` must hold >= 5*hidden_size elements (4H gates + H
+  /// for the activated cell state). T=double computes on the exact weights;
+  /// T=float on the int8 row-quantized weights (LD_QUANT).
   /// Reads only the packed panels, so any number of threads may step one
   /// layer at once, each with its own state and scratch. Throws
   /// std::logic_error if the panels are stale (see pack()).

@@ -109,7 +109,7 @@ double LstmNetwork::forward_one_impl(std::span<const double> window) const {
   const std::size_t num_layers = layers_.size();
   hbuf.assign(num_layers * H, T(0));
   cbuf.assign(num_layers * H, T(0));
-  if (scratch.size() < 4 * H) scratch.resize(4 * H);
+  if (scratch.size() < 5 * H) scratch.resize(5 * H);  // LSTM's; GRU needs 4H
   // One timestep through the whole stack before advancing t: layer l at time
   // t consumes layer l-1's h_t, which was just written in place.
   for (const double xt : window) {

@@ -51,6 +51,17 @@ inline constexpr std::uint64_t kSimdGemmUlpBound = 64;
 /// predictions, like the other bounds.
 inline constexpr std::uint64_t kFusedPredictUlpBound = 65536;
 
+/// Vectorised gate activations (nn/gate_math.hpp, used by step_fused) vs
+/// libm: sigmoid against 1/(1+std::exp(-x)) and tanh against std::tanh,
+/// element by element (softsign is the same expression, so 0 ULP). Measured
+/// over [-40, 40] in steps of 1e-4 with and without FMA contraction: at
+/// most 4 ULP for sigmoid and 2 for tanh, in double and in float; the
+/// bounds leave 2x headroom for another libm. Enforced by verify_test
+/// VectorActivations. Per element only — through a forecast the differences
+/// compound like any other regrouping and stay inside kFusedPredictUlpBound.
+inline constexpr std::uint64_t kActivationUlpBound = 8;       ///< double
+inline constexpr std::uint64_t kActivationUlpBoundFloat = 8;  ///< float, in float ULPs
+
 /// Accuracy guardrail for int8 row-quantized inference (LD_QUANT): the
 /// fig9-style test MAPE under quantization may exceed the fp64 MAPE by at
 /// most this many percentage points on the golden workloads. Quantization is
@@ -75,6 +86,18 @@ inline constexpr double kQuantMapeTolerancePp = 1.0;
   const std::int64_t oa = to_ordered(a), ob = to_ordered(b);
   return oa >= ob ? static_cast<std::uint64_t>(oa) - static_cast<std::uint64_t>(ob)
                   : static_cast<std::uint64_t>(ob) - static_cast<std::uint64_t>(oa);
+}
+
+/// ulp_distance in representable floats, for the single-precision kernels.
+[[nodiscard]] inline std::uint64_t ulp_distance(float a, float b) noexcept {
+  if (std::isnan(a) || std::isnan(b)) return a != a && b != b ? 0 : ~0ULL;
+  if (std::isinf(a) || std::isinf(b)) return a == b ? 0 : ~0ULL;
+  const auto to_ordered = [](float v) -> std::int64_t {
+    const auto bits = std::bit_cast<std::int32_t>(v);
+    return bits >= 0 ? bits : std::int64_t{std::numeric_limits<std::int32_t>::min()} - bits;
+  };
+  const std::int64_t oa = to_ordered(a), ob = to_ordered(b);
+  return static_cast<std::uint64_t>(oa >= ob ? oa - ob : ob - oa);
 }
 
 /// Largest element-wise ULP distance; UINT64_MAX on length mismatch.

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -21,6 +22,7 @@
 #include "common/thread_pool.hpp"
 #include "core/loaddynamics.hpp"
 #include "core/model.hpp"
+#include "nn/gate_math.hpp"
 #include "nn/network.hpp"
 #include "serving/service.hpp"
 #include "tensor/cpu_features.hpp"
@@ -42,6 +44,9 @@ TEST(Ulp, IdenticalAndAdjacentValues) {
   const double up = std::nextafter(1.5, 2.0);
   EXPECT_EQ(verify::ulp_distance(1.5, up), 1u);
   EXPECT_EQ(verify::ulp_distance(up, 1.5), 1u);
+  // The float overload counts representable floats, not doubles.
+  EXPECT_EQ(verify::ulp_distance(1.5f, std::nextafter(1.5f, 2.0f)), 1u);
+  EXPECT_EQ(verify::ulp_distance(std::nextafter(0.0f, 1.0f), std::nextafter(0.0f, -1.0f)), 2u);
 }
 
 TEST(Ulp, MeasuresThroughZeroAndFlagsNonFinite) {
@@ -525,6 +530,142 @@ TEST(ServingDiff, FusedLivePredictPassesDifferentialCheck) {
         << " fused predict diverged from the layered reference beyond "
            "kFusedPredictUlpBound";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Vectorised gate activations (nn/gate_math.hpp): the kernels step_fused
+// applies to each gate block, checked against libm, at saturation, on NaN,
+// and lane against scalar tail.
+
+constexpr std::array<nn::Activation, 3> kAllActivations{
+    nn::Activation::kSigmoid, nn::Activation::kTanh, nn::Activation::kSoftsign};
+
+/// The libm form of each activation, evaluated in T.
+template <typename T>
+T libm_activation(nn::Activation activation, T x) {
+  switch (activation) {
+    case nn::Activation::kTanh: return std::tanh(x);
+    case nn::Activation::kSigmoid: return T(1) / (T(1) + std::exp(-x));
+    case nn::Activation::kSoftsign: return x / (T(1) + std::abs(x));
+  }
+  return x;
+}
+
+template <typename T>
+T kernel_activation(nn::Activation activation, T x) {
+  nn::activate_inplace(activation, &x, 1);
+  return x;
+}
+
+template <typename T>
+void expect_dense_grid_within_bound(std::uint64_t bound) {
+  std::vector<T> grid;
+  for (long i = -400000; i <= 400000; ++i) grid.push_back(static_cast<T>(i * 1e-4));
+  for (const nn::Activation activation : kAllActivations) {
+    std::vector<T> out = grid;
+    nn::activate_inplace(activation, out.data(), out.size());
+    std::uint64_t worst = 0;
+    T worst_x = 0;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const std::uint64_t d = verify::ulp_distance(out[i], libm_activation(activation, grid[i]));
+      if (d > worst) worst = d, worst_x = grid[i];
+    }
+    EXPECT_LE(worst, bound) << nn::activation_name(activation) << " worst at x=" << worst_x;
+  }
+}
+
+TEST(VectorActivations, DenseGridWithinUlpBoundOfLibm) {
+  expect_dense_grid_within_bound<double>(verify::kActivationUlpBound);
+  expect_dense_grid_within_bound<float>(verify::kActivationUlpBoundFloat);
+}
+
+template <typename T>
+void expect_saturation() {
+  const T inf = std::numeric_limits<T>::infinity();
+  const T max = std::numeric_limits<T>::max();
+  // e^|x| overflows from here on, so sigmoid(-x) is exactly 0 in libm too.
+  const T exp_overflow = sizeof(T) == sizeof(float) ? T(89) : T(710);
+  // From where each function rounds to its limit out to the largest finite
+  // input, across the range where e^|x| itself overflows or underflows.
+  for (const T x : {T(40), T(88), T(89), T(104), T(500), T(709), T(710), T(745), T(746),
+                    T(1e4), max, inf}) {
+    EXPECT_EQ(kernel_activation(nn::Activation::kSigmoid, x), T(1)) << x;
+    EXPECT_EQ(kernel_activation(nn::Activation::kTanh, x), T(1)) << x;
+    EXPECT_EQ(kernel_activation(nn::Activation::kTanh, -x), T(-1)) << x;
+    if (x >= exp_overflow) {
+      EXPECT_EQ(kernel_activation(nn::Activation::kSigmoid, -x), T(0)) << x;
+    }
+  }
+  // No finite input yields inf or NaN, and every output stays in range.
+  for (T magnitude = max; magnitude > T(1e-30); magnitude /= T(3)) {
+    for (const T x : {magnitude, -magnitude}) {
+      for (const nn::Activation activation : kAllActivations) {
+        const T y = kernel_activation(activation, x);
+        ASSERT_TRUE(std::isfinite(y)) << nn::activation_name(activation) << " at x=" << x;
+        EXPECT_LE(std::abs(y), T(1)) << nn::activation_name(activation) << " at x=" << x;
+      }
+    }
+  }
+}
+
+TEST(VectorActivations, LargeInputsSaturateExactly) {
+  expect_saturation<double>();
+  expect_saturation<float>();
+}
+
+template <typename T>
+void expect_nan_propagates() {
+  // One NaN inside a vector-length array poisons only its own element: a
+  // clamp written as max(min(x, hi), lo) would turn it into a finite gate,
+  // and fault::all_finite would then pass a broken forecast as live.
+  for (const T nan : {std::numeric_limits<T>::quiet_NaN(), -std::numeric_limits<T>::quiet_NaN()}) {
+    for (const nn::Activation activation : kAllActivations) {
+      std::vector<T> values(13, T(0.25));
+      values[6] = nan;
+      nn::activate_inplace(activation, values.data(), values.size());
+      for (std::size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(std::isnan(values[i]), i == 6) << nn::activation_name(activation) << " i=" << i;
+    }
+  }
+}
+
+TEST(VectorActivations, NanInGivesNanOut) {
+  expect_nan_propagates<double>();
+  expect_nan_propagates<float>();
+}
+
+template <typename T>
+void expect_lanes_match_tail() {
+  // The vectorised body and the scalar tail must compute the same bits, or
+  // a forecast would depend on where its gate block starts in memory and on
+  // the hidden size's remainder modulo the vector width. Each block runs in
+  // place at an element offset into one buffer, and nothing outside it may
+  // change.
+  Rng rng(17);
+  std::vector<T> source(80);
+  for (T& v : source) v = static_cast<T>(rng.uniform(-30.0, 30.0));
+  source[5] = T(0.3);  // inside tanh's small-argument branch
+  const auto same_bits = [](T a, T b) { return std::memcmp(&a, &b, sizeof(T)) == 0; };
+  for (const nn::Activation activation : kAllActivations) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t n = 1; n <= 67; ++n) {
+        std::vector<T> buffer = source;
+        nn::activate_inplace(activation, buffer.data() + offset, n);
+        for (std::size_t i = 0; i < buffer.size(); ++i) {
+          const bool inside = i >= offset && i < offset + n;
+          const T expected = inside ? kernel_activation(activation, source[i]) : source[i];
+          ASSERT_TRUE(same_bits(buffer[i], expected))
+              << nn::activation_name(activation) << " offset " << offset << " n " << n
+              << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorActivations, LanesBitIdenticalToScalarTail) {
+  expect_lanes_match_tail<double>();
+  expect_lanes_match_tail<float>();
 }
 
 // ---------------------------------------------------------------------------
